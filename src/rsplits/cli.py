@@ -33,7 +33,13 @@ from .ortho import (
     is_orthogonal,
     is_orthogonal_oracle,
 )
-from .splits import enumerate_r_splits, essential_representation, verify_representation
+from .splits import (
+    NotRankConnectedError,
+    enumerate_r_splits,
+    essential_representation,
+    rank_connected_splits,
+    verify_representation,
+)
 from .verification import PROFILES, run_verification_suite
 
 
@@ -89,7 +95,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_splits(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    family = enumerate_r_splits(g, args.r, threads=args.threads)
+    family = enumerate_r_splits(g, args.r)
     _write_out(format_closed(family), args.output)
     return 0
 
@@ -106,11 +112,7 @@ def cmd_connected(args: argparse.Namespace) -> int:
 
 
 def cmd_essential(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    if not is_r_rank_connected(g, args.r):
-        print(f"error: graph is not {args.r}-rank connected", file=sys.stderr)
-        return 1
-    family = enumerate_r_splits(g, args.r, threads=args.threads)
+    family = rank_connected_splits(_load_graph(args.graph), args.r)
     _write_out(format_hypergraph(essential_representation(family)), args.output)
     return 0
 
@@ -206,12 +208,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is not None:
-        g = _load_graph(args.graph)
-        r = args.r if args.r is not None else 1
-        if not is_r_rank_connected(g, r):
-            print(f"error: graph is not {r}-rank connected", file=sys.stderr)
-            return 1
-        report = verify_representation(g, r, threads=args.threads)
+        report = verify_representation(_load_graph(args.graph), args.r if args.r is not None else 1)
         lines = [
             f"splits (middles)    {report.middle_count}",
             f"essential members   {report.essential_count}",
@@ -255,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("connected", cmd_connected, "test r-rank connectivity (exit 0/1)")
     p.add_argument("-g", "--graph", required=True)
@@ -265,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("closure", cmd_closure, "close a family under the rules (K2 optional)")
     p.add_argument("-H", "--hypergraph", required=True, help="hypergraph file")
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, help="rank parameter (default 1 with -g)")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--profile", choices=PROFILES, default="quick")
-    p.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -318,6 +312,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotRankConnectedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except TooLargeError as exc:
         return _usage_error(str(exc))
     except ValueError as exc:

@@ -9,7 +9,7 @@ value the rank can take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from . import limits
 from .bitset import VertexSet, rank_of_rows
@@ -87,14 +87,21 @@ def cut_rank(g: Graph, x: VertexSet) -> int:
     """Rank of the cut (x, complement) over GF(2)."""
     if x.n != g.n:
         raise ValueError(f"universe mismatch: set over {x.n}, graph over {g.n}")
-    cols = ((1 << g.n) - 1) ^ x.mask
-    side = x.mask
-    rows = []
-    while side:
-        low = side & -side
-        rows.append(g.adj[low.bit_length() - 1] & cols)
-        side ^= low
-    return rank_of_rows(rows)
+    return _block_rank(g.adj, x.mask, ((1 << g.n) - 1) ^ x.mask)
+
+
+def _block_rank(adj: tuple[int, ...], rows: int, cols: int) -> int:
+    """GF(2) rank of the adjacency block between the disjoint vertex masks rows
+    and cols.  The block of a symmetric matrix has the rank of its transpose, so
+    rows are taken from the smaller side."""
+    if rows.bit_count() > cols.bit_count():
+        rows, cols = cols, rows
+    out = []
+    while rows:
+        low = rows & -rows
+        out.append(adj[low.bit_length() - 1] & cols)
+        rows ^= low
+    return rank_of_rows(out)
 
 
 def is_r_split(g: Graph, x: VertexSet, r: int) -> bool:
@@ -109,29 +116,66 @@ def is_trivial_cut(g: Graph, x: VertexSet) -> bool:
     return cut_rank(g, x) == min(len(x), g.n - len(x))
 
 
-def _sets_containing_vertex_one(g: Graph) -> Iterator[VertexSet]:
-    # One representative per complement pair: vertex 1 always inside X.
-    for rest in range(1 << max(g.n - 1, 0)):
-        yield VertexSet(g.n, rest << 1 | 1)
+def low_rank_cuts(
+    g: Graph, bound: int, sizes: Optional[range] = None
+) -> Iterator[tuple[int, int]]:
+    """Yield (mask, rank) for every side containing vertex 1 whose cut rank is <= bound.
+
+    Cuts come in complement pairs with equal rank, so only the side holding
+    vertex 1 is produced.  Depth-first search decides vertices 2..n in order
+    into A (the side) or B (the rest).  rank(M[A, B]) is at most the rank of
+    every cut extending the partial one, since a submatrix never has larger
+    rank, so a branch is pruned once it exceeds bound.  The partial rank is at
+    most min(|A|, |B|), so it is computed only once both sides exceed bound;
+    a leaf whose smaller side never did gets its rank computed there.  With
+    sizes (a range), only sides whose size lies in it are produced, and
+    branches that can no longer reach it are cut off.
+    """
+    n = g.n
+    lo, hi = (sizes.start, sizes.stop - 1) if sizes is not None else (1, n)
+    if n == 0 or lo > hi or hi < 1 or lo > n:
+        return
+    adj = g.adj
+    # (next vertex index, A, B, |A|, |B|, rank of M[A, B] or -1 when not computed)
+    stack = [(1, 1, 0, 1, 0, -1)]
+    while stack:
+        i, a, b, na, nb, rank = stack.pop()
+        if i == n:
+            if rank < 0:
+                rank = _block_rank(adj, a, b)
+            yield a, rank
+            continue
+        bit = 1 << i
+        left = n - i - 1
+        if na + left >= lo:
+            child_b, child_rank = b | bit, -1
+            if na > bound and nb >= bound:
+                child_rank = _block_rank(adj, a, child_b)
+            if child_rank <= bound:
+                stack.append((i + 1, a, child_b, na, nb + 1, child_rank))
+        if na < hi:
+            child_a, child_rank = a | bit, -1
+            if na >= bound and nb > bound:
+                child_rank = _block_rank(adj, child_a, b)
+            if child_rank <= bound:
+                stack.append((i + 1, child_a, b, na + 1, nb, child_rank))
 
 
 def is_r_rank_connected(g: Graph, r: int) -> bool:
     """True when every cut of rank below r is trivial.
 
-    Checked by exhaustion over all cuts; cuts come in complement pairs with
-    equal rank and equal min-side size, so only the side containing vertex 1
-    is enumerated.
+    Searches the cuts of rank at most r-1 (see low_rank_cuts) and stops at
+    the first one whose rank is below the size of its smaller side.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
-    if g.n == 0 or r == 0:
+    if r == 0:
         return True
-    for x in _sets_containing_vertex_one(g):
-        rank = cut_rank(g, x)
-        if rank < r and rank != min(len(x), g.n - len(x)):
-            return False
-    return True
+    return all(
+        rank == min(mask.bit_count(), g.n - mask.bit_count())
+        for mask, rank in low_rank_cuts(g, r - 1)
+    )
 
 
 GRAPH_FORMAT_HELP = (
@@ -141,33 +185,40 @@ GRAPH_FORMAT_HELP = (
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the textual graph format (see GRAPH_FORMAT_HELP)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse the textual graph format (see GRAPH_FORMAT_HELP).
+
+    Errors about one line give its 1-based number in the text and quote it.
+    """
+    data = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1)]
+    data = [(k, ln) for k, ln in data if ln and not ln.startswith("#")]
     if not data:
         raise ValueError("graph file has no data lines")
-    header = data[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad graph header {data[0]!r}, expected 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = _int_pair(*data[0], "graph header", "'n m'")
     if len(data) - 1 != m:
         raise ValueError(f"header promises {m} edges, file has {len(data) - 1}")
     edges = []
     seen = set()
-    for ln in data[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+    for k, ln in data[1:]:
+        u, v = _int_pair(k, ln, "edge line", "'u v'")
         if u == v:
-            raise ValueError(f"self-loop {u} {v} rejected")
+            raise ValueError(f"line {k}: self-loop {u} {v} rejected")
         if not (1 <= u < v <= n):
-            raise ValueError(f"edge {u} {v} violates 1 <= u < v <= n")
+            raise ValueError(f"line {k}: edge {u} {v} violates 1 <= u < v <= n")
         if (u, v) in seen:
-            raise ValueError(f"duplicate edge {u} {v}")
+            raise ValueError(f"line {k}: duplicate edge {u} {v}")
         seen.add((u, v))
         edges.append((u, v))
     return Graph.from_edges(n, edges)
+
+
+def _int_pair(lineno: int, line: str, what: str, expected: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise ValueError(f"line {lineno}: bad {what} {line!r}, expected {expected}")
 
 
 def format_graph(g: Graph) -> str:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitset import VertexSet
+from .bitset import VertexSet, _check_universe
 
 
 class NotClosedError(ValueError):
@@ -28,6 +28,7 @@ class Hypergraph:
     edges: frozenset[VertexSet]
 
     def __post_init__(self) -> None:
+        _check_universe(self.n)
         for edge in self.edges:
             if edge.n != self.n:
                 raise ValueError(f"edge over universe {edge.n} in hypergraph over {self.n}")
@@ -71,6 +72,7 @@ class ClosedHypergraph:
     middles: frozenset[VertexSet]
 
     def __post_init__(self) -> None:
+        _check_universe(self.n)
         if self.r < 0:
             raise ValueError("r must be >= 0")
         for a in self.middles:

@@ -1,6 +1,6 @@
 """Size caps for exhaustive computations.
 
-Routines that walk all 2^n subsets refuse to run above a cap so a typo
+Routines whose work can grow as 2^n refuse to run above a cap so a typo
 cannot pin a machine for hours.  The env var RSPLIT_MAX_N raises both
 caps at the caller's own risk.
 """
@@ -14,7 +14,7 @@ import os
 # assigning to the module attribute if you know what you are doing.
 MAX_UNIVERSE = 128
 
-# Subset-exhaustive scans (r-rank connectivity, split enumeration).
+# Pruned cut searches (r-rank connectivity, split enumeration).
 DEFAULT_EXHAUSTIVE_CAP = 24
 
 # Brute-force reference computations over explicit 2^n families.

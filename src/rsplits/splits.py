@@ -16,55 +16,56 @@ from typing import Optional
 from . import limits
 from .bitset import VertexSet
 from .closure import close_full
-from .graph import Graph, cut_rank, is_r_rank_connected
+from .graph import Graph, low_rank_cuts
 from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, equals
 
 
-def enumerate_r_splits(g: Graph, r: int, threads: int = 1) -> ClosedHypergraph:
+class NotRankConnectedError(ValueError):
+    """The graph is not r-rank connected, a hypothesis the computation needs."""
+
+
+def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
     """All r-splits of g as a canonical closed family.
 
     Sets of size <= r or >= n-r are r-splits of every graph and stay
-    implicit; only middles are enumerated.  Complement pairs have equal
-    rank, so only sides containing vertex 1 are ranked.
+    implicit; only middles are searched for (see low_rank_cuts).
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     limits.check_cap(g.n, limits.exhaustive_cap(), "split enumeration")
-    n = g.n
-    if n == 0:
-        return ClosedHypergraph(0, r, frozenset())
-    total = 1 << (n - 1)
-    if threads > 1:
-        chunks = _split_range(total, threads)
-        from concurrent.futures import ThreadPoolExecutor
+    sides = [mask for mask, _ in low_rank_cuts(g, r, range(r + 1, g.n - r))]
+    return _family(g.n, r, sides)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda c: _scan_middles(g, r, c[0], c[1]), chunks)
-            masks = set().union(*parts)
-    else:
-        masks = _scan_middles(g, r, 0, total)
-    middles = set()
+
+def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
+    """enumerate_r_splits(g, r) for an r-rank connected g, from one search.
+
+    The cuts of rank at most r include every cut that could break r-rank
+    connectivity, so one search both collects the middles and stops at the
+    first nontrivial cut of rank below r, raising NotRankConnectedError.
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
+    n = g.n
+    sides = []
+    for mask, rank in low_rank_cuts(g, r):
+        size = mask.bit_count()
+        if rank < r and rank < min(size, n - size):
+            raise NotRankConnectedError(f"graph is not {r}-rank connected")
+        if r < size < n - r:
+            sides.append(mask)
+    return _family(n, r, sides)
+
+
+def _family(n: int, r: int, sides: list[int]) -> ClosedHypergraph:
+    """The closed family whose middles are the given sides and their complements."""
     full = (1 << n) - 1
-    for mask in masks:
+    middles = set()
+    for mask in sides:
         middles.add(VertexSet(n, mask))
         middles.add(VertexSet(n, mask ^ full))
     return ClosedHypergraph(n, r, frozenset(middles))
-
-
-def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    step = -(-total // parts)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step) if lo < total]
-
-
-def _scan_middles(g: Graph, r: int, lo: int, hi: int) -> set[int]:
-    n = g.n
-    out = set()
-    for rest in range(lo, hi):
-        mask = rest << 1 | 1
-        size = mask.bit_count()
-        if r < size < n - r and cut_rank(g, VertexSet(n, mask)) <= r:
-            out.add(mask)
-    return out
 
 
 def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
@@ -131,15 +132,14 @@ class RoundTripReport:
         }
 
 
-def verify_representation(g: Graph, r: int, threads: int = 1) -> RoundTripReport:
+def verify_representation(g: Graph, r: int) -> RoundTripReport:
     """Check that the essential members regenerate the full r-split family.
 
-    Requires g to be r-rank connected; without that hypothesis the split
-    family need not be closed and the reconstruction is not defined.
+    Requires g to be r-rank connected (NotRankConnectedError otherwise);
+    without that hypothesis the split family need not be closed and the
+    reconstruction is not defined.
     """
-    if not is_r_rank_connected(g, r):
-        raise ValueError(f"graph is not {r}-rank connected")
-    family = enumerate_r_splits(g, r, threads=threads)
+    family = rank_connected_splits(g, r)
     essential = essential_representation(family)
     rebuilt = close_full(essential, r)
     return RoundTripReport(

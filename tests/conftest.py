@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from rsplits import Graph, Hypergraph, close_full
@@ -51,3 +54,21 @@ SIX_MIDDLES = [
     (1, 2, 3, 4, 5),
     (4, 5, 6, 7, 8),
 ]
+
+
+def all_graphs(max_n: int):
+    """Every labelled graph on 0..max_n vertices."""
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for code in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if code >> k & 1])
+
+
+def seeded_graphs(seed: int, sizes: range, per_size: int):
+    """per_size random graphs of each order in sizes, sparse to dense."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(per_size):
+            p = rng.uniform(0.15, 0.6)
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            yield Graph.from_edges(n, [e for e in pairs if rng.random() < p])

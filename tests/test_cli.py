@@ -58,6 +58,14 @@ class TestSplitsAndClosure:
         stdout = capsys.readouterr().out
         assert stdout == splits_file.read_text()
 
+    def test_negative_universe_is_usage_error(self, tmp_path, capsys):
+        hg = tmp_path / "neg.hg"
+        hg.write_text("-2\n")
+        assert main(["closure", "-H", str(hg), "-r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "universe size must be >= 0, got -2" in captured.err
+
     def test_degenerate_closure(self, tmp_path, capsys):
         hg = tmp_path / "h.hg"
         hg.write_text("8\n1,2,3\n2,3,4,5\n")
@@ -161,6 +169,13 @@ class TestVerify:
 
     def test_graph_mode_refuses_nonconnected(self, nine_vertex_file, capsys):
         assert main(["verify", "-g", nine_vertex_file, "-r", "2"]) == 1
+        assert capsys.readouterr().err == "error: graph is not 2-rank connected\n"
+
+    def test_graph_parse_error_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_text("3 2\n1 2\n1 x\n")
+        assert main(["verify", "-g", str(path), "-r", "1"]) == 2
+        assert "line 3: bad edge line '1 x'" in capsys.readouterr().err
 
     def test_suite_mode_json(self, capsys):
         assert main(["verify", "--seed", "3", "--profile", "quick", "--json"]) == 0

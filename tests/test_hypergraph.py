@@ -139,6 +139,12 @@ class TestConstructionInvariants:
         with pytest.raises(NotClosedError):
             closed_from_tuples(8, 2, [(1, 2, 3)])
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(ValueError, match="universe size must be >= 0"):
+            Hypergraph(-2, frozenset())
+        with pytest.raises(ValueError, match="universe size must be >= 0"):
+            ClosedHypergraph(-2, 1, frozenset())
+
     def test_degenerate_universe_has_no_middles(self):
         assert ClosedHypergraph(4, 2, frozenset()).contains(VertexSet.of(4, [1, 2, 3]))
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import all_graphs, seeded_graphs
 from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_splits, explicit_members
 from rsplits.closure import close_full
@@ -12,9 +13,11 @@ from rsplits.graph import Graph, is_r_rank_connected
 from rsplits.hypergraph import NotClosedError, equals
 from rsplits.limits import TooLargeError
 from rsplits.splits import (
+    NotRankConnectedError,
     enumerate_r_splits,
     essential_representation,
     phi,
+    rank_connected_splits,
     verify_representation,
 )
 
@@ -44,9 +47,22 @@ class TestEnumerate:
             fast = explicit_members(enumerate_r_splits(g, r))
             assert fast == brute_splits(g, r)
 
-    def test_threaded_enumeration_is_identical(self, nine_vertex_graph):
-        solo = enumerate_r_splits(nine_vertex_graph, 2)
-        assert equals(solo, enumerate_r_splits(nine_vertex_graph, 2, threads=3))
+    def test_all_small_graphs_match_bruteforce(self):
+        for g in all_graphs(5):
+            for r in range(4):
+                assert explicit_members(enumerate_r_splits(g, r)) == brute_splits(g, r), (g, r)
+
+    def test_seeded_graphs_up_to_twelve_vertices_match_bruteforce(self):
+        for g in seeded_graphs(53, range(6, 13), 2):
+            for r in range(4):
+                assert explicit_members(enumerate_r_splits(g, r)) == brute_splits(g, r), (g, r)
+
+    def test_long_cycle_is_searched_not_scanned(self):
+        # A cycle has n(n-5) middles at r = 2.  Ranking all 2^23 sides of
+        # C_24 would take minutes; the pruned search visits few of them.
+        n = 24
+        cycle = Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+        assert len(enumerate_r_splits(cycle, 2).middles) == n * (n - 5)
 
     def test_cap_refused(self):
         g = Graph(25, tuple(0 for _ in range(25)))
@@ -143,7 +159,7 @@ class TestRoundTrip:
 
     def test_refuses_non_connected_input(self, k33):
         assert not is_r_rank_connected(k33, 2)
-        with pytest.raises(ValueError, match="not 2-rank connected"):
+        with pytest.raises(NotRankConnectedError, match="not 2-rank connected"):
             verify_representation(k33, 2)
 
     def test_random_connected_graphs(self):
@@ -158,6 +174,23 @@ class TestRoundTrip:
                 if is_r_rank_connected(g, r):
                     assert verify_representation(g, r).passed
                     done += 1
+
+
+class TestRankConnectedSplits:
+    def test_all_small_graphs(self):
+        # One search must agree with the connectivity test and the enumeration.
+        for g in all_graphs(5):
+            for r in range(4):
+                if is_r_rank_connected(g, r):
+                    assert equals(rank_connected_splits(g, r), enumerate_r_splits(g, r)), (g, r)
+                else:
+                    with pytest.raises(NotRankConnectedError, match=f"not {r}-rank connected"):
+                        rank_connected_splits(g, r)
+
+    def test_cap_refused_as_connectivity(self):
+        g = Graph(25, tuple(0 for _ in range(25)))
+        with pytest.raises(TooLargeError, match="r-rank connectivity"):
+            rank_connected_splits(g, 1)
 
 
 class TestClosedFamilyLaws:
