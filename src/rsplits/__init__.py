@@ -16,7 +16,6 @@ from .hypergraph import (
     ClosedHypergraph,
     Hypergraph,
     NotClosedError,
-    contains,
     equals,
     format_closed,
     format_hypergraph,
@@ -67,7 +66,6 @@ __all__ = [
     "check_derived_rules",
     "close_degenerate",
     "close_full",
-    "contains",
     "cross_free_closure",
     "crossfree_size_bounds",
     "cut_rank",

@@ -23,6 +23,12 @@ def _check_universe(n: int) -> None:
         )
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """Stripped lines that are neither blank nor '#' comments, with their 1-based numbers."""
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1)]
+    return [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """A subset of {1, ..., n} stored as an n-bit mask."""
@@ -64,7 +70,10 @@ class VertexSet:
             raise ValueError(f"bad vertex set {text!r}") from None
         if vertices != sorted(set(vertices)):
             raise ValueError(f"vertex set {text!r} is not strictly ascending")
-        return cls.of(n, vertices)
+        try:
+            return cls.of(n, vertices)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in vertex set {text!r}") from None
 
     def members(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)

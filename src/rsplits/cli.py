@@ -18,7 +18,6 @@ from .closure import close_degenerate, close_full
 from .graph import cut_rank, is_r_rank_connected, parse_graph
 from .hypergraph import (
     ClosedHypergraph,
-    Hypergraph,
     format_closed,
     format_hypergraph,
     parse_closed,
@@ -70,14 +69,6 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _load_graph(path: str):
-    return parse_graph(_read(path))
-
-
-def _load_hypergraph(path: str) -> Hypergraph:
-    return parse_hypergraph(_read(path))
-
-
 def _load_closed(path: str, r: int) -> ClosedHypergraph:
     closed = parse_closed(_read(path))
     if closed.r != r:
@@ -86,7 +77,7 @@ def _load_closed(path: str, r: int) -> ClosedHypergraph:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     x = VertexSet.parse(g.n, args.set)
     rank = cut_rank(g, x)
     _emit({"command": "rank", "n": g.n, "set": str(x), "rank": rank}, args.json, [str(rank)])
@@ -94,14 +85,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_splits(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     family = enumerate_r_splits(g, args.r)
     _write_out(format_closed(family), args.output)
     return 0
 
 
 def cmd_connected(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     verdict = is_r_rank_connected(g, args.r)
     _emit(
         {"command": "connected", "n": g.n, "r": args.r, "r_rank_connected": verdict},
@@ -112,13 +103,13 @@ def cmd_connected(args: argparse.Namespace) -> int:
 
 
 def cmd_essential(args: argparse.Namespace) -> int:
-    family = rank_connected_splits(_load_graph(args.graph), args.r)
+    family = rank_connected_splits(parse_graph(_read(args.graph)), args.r)
     _write_out(format_hypergraph(essential_representation(family)), args.output)
     return 0
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.hypergraph)
+    h = parse_hypergraph(_read(args.hypergraph))
     close = close_degenerate if args.degenerate else close_full
     _write_out(format_closed(close(h, args.r)), args.output)
     return 0
@@ -160,7 +151,7 @@ def cmd_ortho(args: argparse.Namespace) -> int:
 
 
 def cmd_crossfree(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.hypergraph)
+    h = parse_hypergraph(_read(args.hypergraph))
     crossing = find_crossing_pair(h, args.r)
     payload = {
         "command": "crossfree",
@@ -183,7 +174,7 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.hypergraph)
+    h = parse_hypergraph(_read(args.hypergraph))
     crossing = find_crossing_pair(h, args.r)
     if crossing is not None:
         print(
@@ -207,8 +198,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.graph is None and args.r is not None:
+        return _usage_error("-r needs -g")
     if args.graph is not None:
-        report = verify_representation(_load_graph(args.graph), args.r if args.r is not None else 1)
+        g = parse_graph(_read(args.graph))
+        report = verify_representation(g, args.r if args.r is not None else 1)
         lines = [
             f"splits (middles)    {report.middle_count}",
             f"essential members   {report.essential_count}",

@@ -3,57 +3,54 @@ and K2 (unions of members meeting in >= r vertices).
 
 Only middle hyperedges need tracking: a member of size <= r forces its
 union partner to absorb it, and a union reaching size >= n-r lands in the
-implicit trivial part.  The fixpoint therefore runs entirely on middles.
+implicit trivial part.  The fixpoint runs on the bit masks of the middles.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 
-from .bitset import VertexSet
-from .hypergraph import ClosedHypergraph, Hypergraph, is_middle
+from .hypergraph import ClosedHypergraph, Hypergraph, closed_from_masks
 
 
-def _seed_middles(h: Hypergraph, r: int) -> set[VertexSet]:
-    seeds = set()
-    for edge in h.edges:
-        if is_middle(h.n, r, edge):
-            seeds.add(edge)
-            seeds.add(edge.complement())
-    return seeds
+def _seed_middles(h: Hypergraph, r: int) -> list[int]:
+    """Masks of the middle edges of h and their complements, without repeats."""
+    full = (1 << h.n) - 1
+    edges = [edge.mask for edge in h.edges if r < len(edge) < h.n - r]
+    return list(dict.fromkeys(edges + [mask ^ full for mask in edges]))
 
 
 def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Least r-closed family containing h, in canonical form.
 
-    Worklist fixpoint: each newly accepted middle is paired against every
-    current middle; unions that stay in the middle zone enter the family
-    together with their complements.
+    Worklist fixpoint over an append-only list of middles: each middle is
+    paired with every middle listed before it; unions that stay in the
+    middle zone are appended together with their complements.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     n = h.n
-    middles = _seed_middles(h, r)
-    queue = deque(middles)
-    while queue:
-        a = queue.popleft()
-        for b in list(middles):
-            if (a.mask & b.mask).bit_count() >= r:
-                union = VertexSet(n, a.mask | b.mask)
-                if is_middle(n, r, union) and union not in middles:
-                    co_union = union.complement()
-                    middles.add(union)
-                    middles.add(co_union)
-                    queue.append(union)
-                    queue.append(co_union)
-    return ClosedHypergraph(n, r, frozenset(middles))
+    full = (1 << n) - 1
+    order = _seed_middles(h, r)
+    seen = set(order)
+    for i, a in enumerate(order):
+        for b in islice(order, i):
+            if (a & b).bit_count() >= r:
+                union = a | b
+                if union not in seen and union.bit_count() < n - r:
+                    co_union = union ^ full
+                    seen.add(union)
+                    seen.add(co_union)
+                    order.append(union)
+                    order.append(co_union)
+    return closed_from_masks(n, r, order)
 
 
 def close_degenerate(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Least family containing h that is closed under K0 and K1 only."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return ClosedHypergraph(h.n, r, frozenset(_seed_middles(h, r)))
+    return closed_from_masks(h.n, r, _seed_middles(h, r))
 
 
 def check_derived_rules(h: ClosedHypergraph) -> list[str]:

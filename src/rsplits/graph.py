@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import limits
-from .bitset import VertexSet, rank_of_rows
+from .bitset import VertexSet, data_lines, rank_of_rows
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,7 @@ def parse_graph(text: str) -> Graph:
 
     Errors about one line give its 1-based number in the text and quote it.
     """
-    data = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1)]
-    data = [(k, ln) for k, ln in data if ln and not ln.startswith("#")]
+    data = data_lines(text)
     if not data:
         raise ValueError("graph file has no data lines")
     n, m = _int_pair(*data[0], "graph header", "'n m'")

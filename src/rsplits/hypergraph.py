@@ -8,12 +8,13 @@ implicit and exponentially large families remain representable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitset import VertexSet, _check_universe
+from .bitset import VertexSet, _check_universe, data_lines
 
 
 class NotClosedError(ValueError):
@@ -75,12 +76,16 @@ class ClosedHypergraph:
         _check_universe(self.n)
         if self.r < 0:
             raise ValueError("r must be >= 0")
+        n, r = self.n, self.r
+        full = (1 << n) - 1
+        masks = {a.mask for a in self.middles if a.n == n}
         for a in self.middles:
-            if a.n != self.n:
-                raise ValueError(f"middle over universe {a.n} in family over {self.n}")
-            if not is_middle(self.n, self.r, a):
-                raise ValueError(f"{a} has size {len(a)}, outside the middle zone")
-            if a.complement() not in self.middles:
+            if a.n != n:
+                raise ValueError(f"middle over universe {a.n} in family over {n}")
+            size = a.mask.bit_count()
+            if not r < size < n - r:
+                raise ValueError(f"{a} has size {size}, outside the middle zone")
+            if a.mask ^ full not in masks:
                 raise NotClosedError(f"not complement closed ({a})")
 
     @classmethod
@@ -92,6 +97,19 @@ class ClosedHypergraph:
             raise ValueError(f"universe mismatch: {a.n} vs {self.n}")
         size = len(a)
         return size <= self.r or size >= self.n - self.r or a in self.middles
+
+    @functools.cached_property
+    def _half_size_meets(self) -> dict[int, int]:
+        """For phi: each (r+1)-set's mask mapped to the meet of the middles of
+        size <= n/2 containing it, built once in sum-of-C(|A|, r+1) steps."""
+        meets: dict[int, int] = {}
+        for a in self.middles:
+            if 2 * len(a) <= self.n:
+                bits = [1 << (v - 1) for v in a.members()]
+                for combo in itertools.combinations(bits, self.r + 1):
+                    x = sum(combo)
+                    meets[x] = meets.get(x, a.mask) & a.mask
+        return meets
 
     def sorted_middles(self) -> list[VertexSet]:
         return sorted(self.middles, key=VertexSet.sort_key)
@@ -116,9 +134,9 @@ class ClosedHypergraph:
         return Hypergraph(self.n, frozenset(edges))
 
 
-def contains(h: ClosedHypergraph, a: VertexSet) -> bool:
-    """Membership in a closed family: trivial by size, or an explicit middle."""
-    return h.contains(a)
+def closed_from_masks(n: int, r: int, masks: Iterable[int]) -> ClosedHypergraph:
+    """The closed family whose middles are the given masks over {1..n}."""
+    return ClosedHypergraph(n, r, frozenset(VertexSet(n, mask) for mask in masks))
 
 
 def equals(h1: ClosedHypergraph, h2: ClosedHypergraph) -> bool:
@@ -145,16 +163,19 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
             f"trivial part incomplete: {len(h.edges) - len(middles)} of "
             f"{expected_trivial} sets with size <= {r} or >= {n - r} present"
         )
+    full = (1 << n) - 1
+    masks = {a.mask for a in middles}
     for a in middles:
-        if a.complement() not in middles:
+        if a.mask ^ full not in masks:
             raise NotClosedError(f"not complement closed ({a})")
     middle_list = sorted(middles, key=VertexSet.sort_key)
-    for i, a in enumerate(middle_list):
-        for b in middle_list[i + 1:]:
-            if len(a & b) >= r:
+    order = [a.mask for a in middle_list]
+    for i, a in enumerate(order):
+        for j, b in enumerate(itertools.islice(order, i + 1, None), i + 1):
+            if (a & b).bit_count() >= r:
                 union = a | b
-                if is_middle(n, r, union) and union not in middles:
-                    raise NotClosedError(f"K2 violated by ({a}, {b})")
+                if union.bit_count() < n - r and union not in masks:
+                    raise NotClosedError(f"K2 violated by ({middle_list[i]}, {middle_list[j]})")
     return ClosedHypergraph(n, r, middles)
 
 
@@ -168,21 +189,38 @@ HYPERGRAPH_FORMAT_HELP = (
 _IMPLICIT_MARKER = "implicit cl-empty"
 
 
-def _data_lines(text: str) -> list[str]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+def _parse_universe(k: int, line: str) -> int:
+    try:
+        n = int(line)
+    except ValueError:
+        raise ValueError(f"line {k}: bad universe line {line!r}, expected 'n'") from None
+    try:
+        _check_universe(n)
+    except ValueError as exc:
+        raise ValueError(f"line {k}: {exc}") from None
+    return n
+
+
+def _parse_sets(n: int, data: list[tuple[int, str]]) -> list[VertexSet]:
+    sets = []
+    for k, line in data:
+        try:
+            sets.append(VertexSet.parse(n, line))
+        except ValueError as exc:
+            raise ValueError(f"line {k}: {exc}") from None
+    return sets
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    data = _data_lines(text)
+    """Parse the hypergraph format (see HYPERGRAPH_FORMAT_HELP).
+
+    Errors about one line give its 1-based number in the text and quote it.
+    """
+    data = data_lines(text)
     if not data:
         raise ValueError("hypergraph file has no data lines")
-    try:
-        n = int(data[0])
-    except ValueError:
-        raise ValueError(f"bad universe size line {data[0]!r}") from None
-    edges = [VertexSet.parse(n, ln) for ln in data[1:]]
-    return Hypergraph(n, frozenset(edges))
+    n = _parse_universe(*data[0])
+    return Hypergraph(n, frozenset(_parse_sets(n, data[1:])))
 
 
 def format_hypergraph(h: Hypergraph) -> str:
@@ -192,19 +230,21 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_closed(text: str) -> ClosedHypergraph:
-    data = _data_lines(text)
+    """Parse the closed-family format; errors name their line like parse_hypergraph."""
+    data = data_lines(text)
     if len(data) < 2:
         raise ValueError("closed-hypergraph file needs 'n' and 'r <value>' header lines")
-    try:
-        n = int(data[0])
-    except ValueError:
-        raise ValueError(f"bad universe size line {data[0]!r}") from None
-    parts = data[1].split()
-    if len(parts) != 2 or parts[0] != "r":
-        raise ValueError(f"bad rank header {data[1]!r}, expected 'r <value>'")
+    n = _parse_universe(*data[0])
+    k, header = data[1]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "r" or not parts[1].isdecimal():
+        raise ValueError(f"line {k}: bad rank header {header!r}, expected 'r <value>'")
     r = int(parts[1])
-    body = [ln for ln in data[2:] if ln != _IMPLICIT_MARKER]
-    middles = [VertexSet.parse(n, ln) for ln in body]
+    body = [(k, ln) for k, ln in data[2:] if ln != _IMPLICIT_MARKER]
+    middles = _parse_sets(n, body)
+    for (k, line), a in zip(body, middles):
+        if not is_middle(n, r, a):
+            raise ValueError(f"line {k}: {line!r} has size {len(a)}, outside the middle zone")
     return ClosedHypergraph(n, r, frozenset(middles))
 
 

@@ -9,7 +9,8 @@ family needing about n^r members in any generating set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import limits
@@ -17,6 +18,19 @@ from .bitset import VertexSet
 from .closure import close_degenerate, close_full
 from .hypergraph import ClosedHypergraph, Hypergraph, equals, is_middle
 from .splits import essential_representation
+
+
+def _orthogonal(n: int, a: int, b: int, r: int) -> bool:
+    """The criterion of is_orthogonal on the masks of two sets over {1..n}."""
+    inter = (a & b).bit_count()
+    outside = n - (a | b).bit_count()
+    a_minus_b = (a & ~b).bit_count()
+    b_minus_a = (b & ~a).bit_count()
+    conjunct_1 = (inter < r or a_minus_b == 0 or b_minus_a == 0 or outside < r
+                  or (inter == r and outside == r))
+    conjunct_2 = (a_minus_b < r or inter == 0 or outside == 0 or b_minus_a < r
+                  or (a_minus_b == r and b_minus_a == r))
+    return conjunct_1 and conjunct_2
 
 
 def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
@@ -27,25 +41,7 @@ def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
     if r < 0:
         raise ValueError("r must be >= 0")
-    inter = len(a & b)
-    outside = a.n - len(a | b)
-    a_minus_b = len(a - b)
-    b_minus_a = len(b - a)
-    conjunct_1 = (
-        inter < r
-        or a.issubset(b)
-        or b.issubset(a)
-        or outside < r
-        or (inter == r and outside == r)
-    )
-    conjunct_2 = (
-        a_minus_b < r
-        or inter == 0
-        or outside == 0
-        or b_minus_a < r
-        or (a_minus_b == r and b_minus_a == r)
-    )
-    return conjunct_1 and conjunct_2
+    return _orthogonal(a.n, a.mask, b.mask, r)
 
 
 def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
@@ -61,10 +57,13 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
 def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, VertexSet]]:
     """First non-orthogonal pair in canonical order, or None."""
     edges = h.sorted_edges()
-    for i, a in enumerate(edges):
-        for b in edges[i:]:
-            if not is_orthogonal(a, b, r):
-                return (a, b)
+    if r < 0 and edges:
+        raise ValueError("r must be >= 0")
+    masks = [edge.mask for edge in edges]
+    for i, a in enumerate(masks):
+        for j, b in enumerate(itertools.islice(masks, i, None), i):
+            if not _orthogonal(h.n, a, b, r):
+                return (edges[i], edges[j])
     return None
 
 
@@ -74,17 +73,12 @@ def is_cross_free(h: Hypergraph, r: int) -> bool:
 
 
 def cross_free_closure(h: Hypergraph, r: int) -> ClosedHypergraph:
-    """Closure of a cross-free family, built directly: the middles are the
-    family's own middle edges and their complements, nothing else."""
+    """Closure of a cross-free family, built directly: K2 adds nothing to
+    such a family, so its closure is its degenerate closure."""
     crossing = find_crossing_pair(h, r)
     if crossing is not None:
         raise ValueError(f"input is not {r}-cross-free: ({crossing[0]}, {crossing[1]}) cross")
-    middles = set()
-    for edge in h.edges:
-        if is_middle(h.n, r, edge):
-            middles.add(edge)
-            middles.add(edge.complement())
-    return ClosedHypergraph(h.n, r, frozenset(middles))
+    return close_degenerate(h, r)
 
 
 @dataclass(frozen=True)
@@ -106,18 +100,7 @@ class CrossFreeBoundsReport:
         return self.chain_holds and self.cap_holds
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "edge_count": self.edge_count,
-            "middle_edges": self.middle_edges,
-            "closure_middles": self.closure_middles,
-            "closure_total": self.closure_total,
-            "closure_cap": self.closure_cap,
-            "chain_holds": self.chain_holds,
-            "cap_holds": self.cap_holds,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
@@ -207,17 +190,7 @@ class LowerBoundReport:
         return self.closure_matches and self.inequality_holds
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "n": self.n,
-            "family_size": self.family_size,
-            "closure_middles": self.closure_middles,
-            "essential_count": self.essential_count,
-            "closure_matches": self.closure_matches,
-            "inequality_holds": self.inequality_holds,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_lower_bound(p: FamilyParams) -> LowerBoundReport:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import limits
 from .bitset import VertexSet
 from .closure import close_full
 from .graph import Graph, low_rank_cuts
-from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, equals
+from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, closed_from_masks, equals
 
 
 class NotRankConnectedError(ValueError):
@@ -61,11 +61,7 @@ def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
 def _family(n: int, r: int, sides: list[int]) -> ClosedHypergraph:
     """The closed family whose middles are the given sides and their complements."""
     full = (1 << n) - 1
-    middles = set()
-    for mask in sides:
-        middles.add(VertexSet(n, mask))
-        middles.add(VertexSet(n, mask ^ full))
-    return ClosedHypergraph(n, r, frozenset(middles))
+    return closed_from_masks(n, r, {mask for side in sides for mask in (side, side ^ full)})
 
 
 def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
@@ -80,14 +76,10 @@ def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
         raise ValueError(f"universe mismatch: {x.n} vs {h.n}")
     if len(x) != h.r + 1:
         raise ValueError(f"phi takes a set of exactly {h.r + 1} vertices, got {len(x)}")
-    n = h.n
-    meet_mask: Optional[int] = None
-    for a in h.middles:
-        if x.mask & ~a.mask == 0 and 2 * len(a) <= n:
-            meet_mask = a.mask if meet_mask is None else meet_mask & a.mask
+    meet_mask = h._half_size_meets.get(x.mask)
     if meet_mask is None:
         return None
-    meet = VertexSet(n, meet_mask)
+    meet = VertexSet(h.n, meet_mask)
     if meet not in h.middles:
         raise NotClosedError(
             f"input not r-closed: intersection {meet} of the members covering {x} is not a member"
@@ -121,15 +113,7 @@ class RoundTripReport:
         return self.closure_matches and self.essential_count <= self.essential_bound
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "middle_count": self.middle_count,
-            "essential_count": self.essential_count,
-            "essential_bound": self.essential_bound,
-            "closure_matches": self.closure_matches,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_representation(g: Graph, r: int) -> RoundTripReport:

@@ -177,6 +177,12 @@ class TestVerify:
         assert main(["verify", "-g", str(path), "-r", "1"]) == 2
         assert "line 3: bad edge line '1 x'" in capsys.readouterr().err
 
+    def test_rank_without_graph_is_usage_error(self, capsys):
+        assert main(["verify", "-r", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: -r needs -g\n"
+
     def test_suite_mode_json(self, capsys):
         assert main(["verify", "--seed", "3", "--profile", "quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -194,3 +200,22 @@ class TestGraphParsing:
         text = open(nine_vertex_file).read()
         assert parse_graph(text) == nine_vertex_graph
         assert sorted(parse_graph(text).edges()) == sorted(NINE_VERTEX_EDGES)
+
+
+class TestHypergraphParseErrors:
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["closure", "-r", "1"], "# family\n4x\n1,2\n", "line 2: bad universe line '4x', expected 'n'"),
+            (["member", "-r", "1", "-X", "1,3"], "4\nr x\n1,3\n2,4\n",
+             "line 2: bad rank header 'r x', expected 'r <value>'"),
+            (["crossfree", "-r", "1"], "4\n1,2\n# next\n1,x\n", "line 4: bad vertex set '1,x'"),
+        ],
+    )
+    def test_exit_2_with_one_line_naming_the_line(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "bad.hg"
+        path.write_text(text)
+        assert main(argv[:1] + ["-H", str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

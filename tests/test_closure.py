@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
+
+import pytest
 
 from conftest import SIX_MIDDLES
 from rsplits.bitset import VertexSet
@@ -102,3 +105,17 @@ class TestDerivedRules:
             r = rng.randint(1, 3)
             closed = close_full(random_family(rng, n, max_edges=3), r)
             assert check_derived_rules(closed) == []
+
+
+class TestExhaustiveAgainstBruteForce:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_all_one_and_two_edge_families(self, n):
+        sets = [VertexSet(n, mask) for mask in range(1 << n)]
+        families = [{a} for a in sets] + [set(pair) for pair in itertools.combinations(sets, 2)]
+        for edges in families:
+            h = Hypergraph(n, frozenset(edges))
+            for r in range(4):
+                assert explicit_members(close_full(h, r)) == brute_closure(h, r), (n, r, edges)
+                assert explicit_members(close_degenerate(h, r)) == brute_closure(
+                    h, r, use_rule_k2=False
+                ), (n, r, edges)

@@ -88,8 +88,9 @@ class TestNormalize:
 
     def test_union_rule_violation(self):
         middles = [(1, 2, 3), (4, 5, 6, 7, 8), (2, 3, 4, 5), (1, 6, 7, 8)]
-        with pytest.raises(NotClosedError, match="K2 violated"):
+        with pytest.raises(NotClosedError) as exc:
             normalize(materialized_family(8, 2, middles), 2)
+        assert str(exc.value) == "K2 violated by (1,2,3, 2,3,4,5)"
 
     def test_idempotent_on_computed_closures(self):
         rng = random.Random(9)
@@ -178,3 +179,47 @@ class TestFormats:
     def test_bad_rank_header(self):
         with pytest.raises(ValueError, match="rank header"):
             parse_closed("4\n1,3\n")
+
+
+class TestParseErrorsNameTheLine:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# family\nx\n1,2\n", "line 2: bad universe line 'x', expected 'n'"),
+            ("-2\n", "line 1: universe size must be >= 0, got -2"),
+            ("4\n1,2\n\n1,x\n", "line 4: bad vertex set '1,x'"),
+            ("4\n2,1\n", "line 2: vertex set '2,1' is not strictly ascending"),
+            ("4\n# edges\n1,9\n", "line 3: vertex 9 outside universe 1..4 in vertex set '1,9'"),
+        ],
+    )
+    def test_hypergraph(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_hypergraph(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x\nr 1\n", "line 1: bad universe line 'x', expected 'n'"),
+            ("4\n# rank\nr x\n", "line 3: bad rank header 'r x', expected 'r <value>'"),
+            ("4\nr -1\n", "line 2: bad rank header 'r -1', expected 'r <value>'"),
+            ("4\nr 1\n1,3\n2,x\n", "line 4: bad vertex set '2,x'"),
+            ("4\nr 1\n1,3\n1\n", "line 4: '1' has size 1, outside the middle zone"),
+        ],
+    )
+    def test_closed(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_closed(text)
+        assert str(exc.value) == message
+
+    def test_family_level_errors_keep_their_messages(self):
+        with pytest.raises(NotClosedError, match=r"^not complement closed \(1,3\)$"):
+            parse_closed("4\nr 1\n1,3\n")
+
+
+def test_free_contains_function_is_gone():
+    import rsplits
+    import rsplits.hypergraph
+
+    assert not hasattr(rsplits.hypergraph, "contains")
+    assert "contains" not in rsplits.__all__

@@ -61,12 +61,19 @@ class TestOrthogonalityFormula:
                 a, b = VertexSet(n, a_mask), VertexSet(n, b_mask)
                 assert is_orthogonal(a, b, r) == is_orthogonal_oracle(a, b, r)
 
-    def test_exhaustive_agreement_with_bruteforce_n4(self):
-        for r in (0, 1, 2):
-            for a_mask in range(16):
-                for b_mask in range(a_mask, 16):
-                    a, b = VertexSet(4, a_mask), VertexSet(4, b_mask)
-                    assert is_orthogonal(a, b, r) == brute_orthogonal(a, b, r)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_exhaustive_agreement_with_bruteforce(self, n):
+        for a_mask in range(1 << n):
+            for b_mask in range(a_mask, 1 << n):
+                a, b = VertexSet(n, a_mask), VertexSet(n, b_mask)
+                for r in range(4):
+                    assert is_orthogonal(a, b, r) == brute_orthogonal(a, b, r), (n, r, a, b)
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="universe mismatch"):
+            is_orthogonal(vs(4, [1]), vs(5, [1]), 1)
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            is_orthogonal(vs(4, [1]), vs(4, [2]), -1)
 
 
 class TestOrthogonalityLaws:
@@ -128,6 +135,32 @@ class TestCrossFree:
         pair = find_crossing_pair(h, 1)
         assert pair is not None
         assert {pair[0].members(), pair[1].members()} == {(1, 2, 3), (3, 4, 5)}
+
+    def test_first_pair_of_a_colored_family_with_one_vertex_flipped(self):
+        family = build_family(FamilyParams(2, 3))
+        edge = vs(9, [2, 5, 8])
+        h = Hypergraph(9, (family.edges - {edge}) | {vs(9, [2, 5, 8, 9])})
+        pair = find_crossing_pair(h, 2)
+        assert (str(pair[0]), str(pair[1])) == ("1,5,9", "2,5,8,9")
+
+    def test_first_pair_matches_a_scan_by_the_definition(self):
+        family = build_family(FamilyParams(2, 3))
+        for edge in family.sorted_edges():
+            for v in range(1, 10):
+                flipped = VertexSet(9, edge.mask ^ (1 << (v - 1)))
+                h = Hypergraph(9, (family.edges - {edge}) | {flipped})
+                edges = h.sorted_edges()
+                expected = next(
+                    ((a, b) for i, a in enumerate(edges) for b in edges[i:]
+                     if not is_orthogonal_oracle(a, b, 2)),
+                    None,
+                )
+                assert find_crossing_pair(h, 2) == expected, (edge, v)
+
+    def test_negative_rank_rejected_once_a_pair_is_checked(self):
+        assert find_crossing_pair(Hypergraph(4, frozenset()), -1) is None
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            find_crossing_pair(Hypergraph.of_vertex_lists(4, [[1, 2]]), -1)
 
     def test_empty_and_singleton_families(self):
         assert is_cross_free(Hypergraph(6, frozenset()), 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -10,7 +11,7 @@ from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_splits, explicit_members
 from rsplits.closure import close_full
 from rsplits.graph import Graph, is_r_rank_connected
-from rsplits.hypergraph import NotClosedError, equals
+from rsplits.hypergraph import Hypergraph, NotClosedError, equals
 from rsplits.limits import TooLargeError
 from rsplits.splits import (
     NotRankConnectedError,
@@ -117,6 +118,24 @@ class TestPhi:
         fake = ClosedHypergraph(8, 1, middles)
         with pytest.raises(NotClosedError, match="not r-closed"):
             phi(fake, VertexSet.of(8, [1, 2]))
+        message = "input not r-closed: intersection 1,2 of the members covering 1,2 is not a member"
+        with pytest.raises(NotClosedError) as exc:
+            essential_representation(fake)
+        assert str(exc.value) == message
+
+    def test_first_failing_set_in_lexicographic_order_is_reported(self):
+        from rsplits.hypergraph import ClosedHypergraph
+
+        # {1,3} (covered by {1,2,3} and {1,3,4}) fails before {2,4} does.
+        tuples = [(1, 2, 3), (1, 3, 4), (2, 4, 5), (2, 4, 6)]
+        full = (1 << 9) - 1
+        masks = {VertexSet.of(9, m).mask for m in tuples}
+        middles = frozenset(VertexSet(9, m) for mask in masks for m in (mask, mask ^ full))
+        with pytest.raises(NotClosedError) as exc:
+            essential_representation(ClosedHypergraph(9, 1, middles))
+        assert str(exc.value) == (
+            "input not r-closed: intersection 1,3 of the members covering 1,3 is not a member"
+        )
 
 
 class TestEssentialRepresentation:
@@ -138,6 +157,41 @@ class TestEssentialRepresentation:
         essential = essential_representation(two_edge_closure)
         assert equals(close_full(essential, 2), two_edge_closure)
         assert len(essential) <= math.comb(8, 3)
+
+
+def naive_essential(h):
+    """The image of phi by its definition: the meet of the half-size middles covering x."""
+    image = set()
+    for combo in itertools.combinations(range(1, h.n + 1), h.r + 1):
+        x = VertexSet.of(h.n, combo)
+        covers = [a for a in h.middles if x.issubset(a) and 2 * len(a) <= h.n]
+        if covers:
+            meet = covers[0]
+            for a in covers[1:]:
+                meet = meet & a
+            image.add(meet)
+    return image
+
+
+class TestEssentialAgainstDefinition:
+    def test_seeded_closed_families(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(6, 10)
+            r = rng.randint(0, 3)
+            edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(1, 4)))
+            closed = close_full(Hypergraph(n, edges), r)
+            assert essential_representation(closed).edges == naive_essential(closed), (n, r)
+
+    def test_seeded_split_families(self):
+        checked = 0
+        for g in seeded_graphs(43, range(6, 11), per_size=4):
+            for r in (1, 2):
+                if is_r_rank_connected(g, r):
+                    family = enumerate_r_splits(g, r)
+                    assert essential_representation(family).edges == naive_essential(family)
+                    checked += 1
+        assert checked >= 10
 
 
 class TestRoundTrip:
