@@ -1,7 +1,7 @@
 """Cut-rank over GF(2), r-splits of graphs, and closure systems over
 hyperedge families, with brute-force oracles for desk-scale verification."""
 
-from .bitset import Gf2Matrix, VertexSet, gf2_rank
+from .bitset import VertexSet
 from .closure import check_derived_rules, close_degenerate, close_full
 from .graph import (
     Graph,
@@ -51,7 +51,6 @@ __all__ = [
     "ClosedHypergraph",
     "CrossFreeBoundsReport",
     "FamilyParams",
-    "Gf2Matrix",
     "Graph",
     "Hypergraph",
     "LowerBoundReport",
@@ -76,7 +75,6 @@ __all__ = [
     "format_closed",
     "format_graph",
     "format_hypergraph",
-    "gf2_rank",
     "is_cross_free",
     "is_orthogonal",
     "is_orthogonal_oracle",

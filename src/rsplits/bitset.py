@@ -124,50 +124,6 @@ class VertexSet:
         return (len(self), self.members())
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """A 0/1 matrix; each row is packed into an int, column j in bit j."""
-
-    n_rows: int
-    n_cols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("matrix dimensions must be >= 0")
-        if len(self.rows) != self.n_rows:
-            raise ValueError(f"expected {self.n_rows} rows, got {len(self.rows)}")
-        for row in self.rows:
-            if not 0 <= row < (1 << self.n_cols):
-                raise ValueError(f"row {row:#x} wider than {self.n_cols} columns")
-
-    @classmethod
-    def from_lists(cls, entries: Iterable[Iterable[int]]) -> Gf2Matrix:
-        rows = []
-        width = 0
-        for entry_row in entries:
-            bits = list(entry_row)
-            if rows and len(bits) != width:
-                raise ValueError("ragged rows")
-            width = len(bits)
-            row = 0
-            for j, bit in enumerate(bits):
-                if bit not in (0, 1):
-                    raise ValueError(f"entry {bit!r} is not a bit")
-                row |= bit << j
-            rows.append(row)
-        return cls(len(rows), width, tuple(rows))
-
-    def transpose(self) -> Gf2Matrix:
-        cols = [0] * self.n_cols
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return Gf2Matrix(self.n_cols, self.n_rows, tuple(cols))
-
-
 def rank_of_rows(rows: Iterable[int]) -> int:
     """GF(2) rank of a list of packed rows, by elimination on lowest set bits."""
     pivots: dict[int, int] = {}
@@ -183,8 +139,3 @@ def rank_of_rows(rows: Iterable[int]) -> int:
                 break
             cur ^= basis
     return rank
-
-
-def gf2_rank(m: Gf2Matrix) -> int:
-    """Row rank of m over GF(2)."""
-    return rank_of_rows(m.rows)

@@ -23,7 +23,6 @@ from .hypergraph import (
     parse_closed,
     parse_hypergraph,
 )
-from .limits import TooLargeError
 from .ortho import (
     FamilyParams,
     build_family,
@@ -232,17 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, json_flag: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="emit the result as one JSON object")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="emit the result as one JSON object")
         return p
 
     p = add("rank", cmd_rank, "rank of the cut at a vertex set")
     p.add_argument("-g", "--graph", required=True, help="graph file")
     p.add_argument("-X", dest="set", required=True, help="vertex set, e.g. 1,3,7 ('-' for empty)")
 
-    p = add("splits", cmd_splits, "enumerate all r-splits as a closed family")
+    p = add("splits", cmd_splits, "enumerate all r-splits as a closed family", json_flag=False)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-o", "--output", help="write here instead of stdout")
@@ -251,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-r", type=int, required=True)
 
-    p = add("essential", cmd_essential, "essential members of the r-split family")
+    p = add("essential", cmd_essential, "essential members of the r-split family", json_flag=False)
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-o", "--output")
 
-    p = add("closure", cmd_closure, "close a family under the rules (K2 optional)")
+    p = add("closure", cmd_closure, "close a family under the rules (K2 optional)", json_flag=False)
     p.add_argument("-H", "--hypergraph", required=True, help="hypergraph file")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--degenerate", action="store_true", help="complement rule only, no unions")
@@ -283,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_family,
         "the colored value-sum family with k^r edges over n = k(r+1) vertices; "
         "value v of color c is vertex (c-1)*k + v + 1",
+        json_flag=False,
     )
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
@@ -309,8 +310,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotRankConnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TooLargeError as exc:
-        return _usage_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import islice
 
+from .bitset import VertexSet
 from .hypergraph import ClosedHypergraph, Hypergraph, closed_from_masks
 
 
@@ -62,14 +63,20 @@ def check_derived_rules(h: ClosedHypergraph) -> list[str]:
     all members.
     """
     n, r = h.n, h.r
+    middles = [(a, a.mask) for a in h.sorted_middles()]
+    masks = {x for _, x in middles}
+
+    def missing(x: int) -> bool:
+        size = x.bit_count()
+        return r < size < n - r and x not in masks
+
     violations = []
-    middle_list = h.sorted_middles()
-    for i, a in enumerate(middle_list):
-        for b in middle_list[i + 1:]:
-            if n - len(a | b) >= r and not h.contains(a & b):
-                violations.append(f"P1 violated by ({a}, {b}): {a & b} missing")
-            if len(a - b) >= r and not h.contains(b - a):
-                violations.append(f"P2 violated by ({a}, {b}): {b - a} missing")
-            if len(b - a) >= r and not h.contains(a - b):
-                violations.append(f"P2 violated by ({b}, {a}): {a - b} missing")
+    for i, (sa, a) in enumerate(middles):
+        for sb, b in islice(middles, i + 1, None):
+            if n - (a | b).bit_count() >= r and missing(a & b):
+                violations.append(f"P1 violated by ({sa}, {sb}): {VertexSet(n, a & b)} missing")
+            if (a & ~b).bit_count() >= r and missing(b & ~a):
+                violations.append(f"P2 violated by ({sa}, {sb}): {VertexSet(n, b & ~a)} missing")
+            if (b & ~a).bit_count() >= r and missing(a & ~b):
+                violations.append(f"P2 violated by ({sb}, {sa}): {VertexSet(n, a & ~b)} missing")
     return violations

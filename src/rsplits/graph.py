@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import limits
-from .bitset import VertexSet, data_lines, rank_of_rows
+from .bitset import VertexSet, _check_universe, data_lines, rank_of_rows
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be >= 0")
-        if self.n > limits.MAX_UNIVERSE:
-            raise ValueError(f"vertex count {self.n} exceeds rsplits.limits.MAX_UNIVERSE")
+        _check_universe(self.n)
         if len(self.adj) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
@@ -192,7 +189,14 @@ def parse_graph(text: str) -> Graph:
     data = data_lines(text)
     if not data:
         raise ValueError("graph file has no data lines")
-    n, m = _int_pair(*data[0], "graph header", "'n m'")
+    k, header = data[0]
+    n, m = _int_pair(k, header, "graph header", "'n m'")
+    try:
+        _check_universe(n)
+    except ValueError as exc:
+        raise ValueError(f"line {k}: {exc}") from None
+    if m < 0:
+        raise ValueError(f"line {k}: edge count must be >= 0, got {m}")
     if len(data) - 1 != m:
         raise ValueError(f"header promises {m} edges, file has {len(data) - 1}")
     edges = []

@@ -35,10 +35,6 @@ class Hypergraph:
                 raise ValueError(f"edge over universe {edge.n} in hypergraph over {self.n}")
 
     @classmethod
-    def of(cls, n: int, edges: Iterable[VertexSet]) -> Hypergraph:
-        return cls(n, frozenset(edges))
-
-    @classmethod
     def of_vertex_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> Hypergraph:
         return cls(n, frozenset(VertexSet.of(n, vs) for vs in lists))
 
@@ -87,10 +83,6 @@ class ClosedHypergraph:
                 raise ValueError(f"{a} has size {size}, outside the middle zone")
             if a.mask ^ full not in masks:
                 raise NotClosedError(f"not complement closed ({a})")
-
-    @classmethod
-    def of(cls, n: int, r: int, middles: Iterable[VertexSet]) -> ClosedHypergraph:
-        return cls(n, r, frozenset(middles))
 
     def contains(self, a: VertexSet) -> bool:
         if a.n != self.n:
@@ -163,20 +155,17 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
             f"trivial part incomplete: {len(h.edges) - len(middles)} of "
             f"{expected_trivial} sets with size <= {r} or >= {n - r} present"
         )
-    full = (1 << n) - 1
-    masks = {a.mask for a in middles}
-    for a in middles:
-        if a.mask ^ full not in masks:
-            raise NotClosedError(f"not complement closed ({a})")
-    middle_list = sorted(middles, key=VertexSet.sort_key)
+    closed = ClosedHypergraph(n, r, middles)  # raises on a missing complement (K1)
+    middle_list = closed.sorted_middles()
     order = [a.mask for a in middle_list]
+    masks = set(order)
     for i, a in enumerate(order):
         for j, b in enumerate(itertools.islice(order, i + 1, None), i + 1):
             if (a & b).bit_count() >= r:
                 union = a | b
                 if union.bit_count() < n - r and union not in masks:
                     raise NotClosedError(f"K2 violated by ({middle_list[i]}, {middle_list[j]})")
-    return ClosedHypergraph(n, r, middles)
+    return closed
 
 
 HYPERGRAPH_FORMAT_HELP = (

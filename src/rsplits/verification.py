@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import bruteforce, closure as closure_mod, graph as graph_mod, ortho as ortho_mod
 from . import splits as splits_mod
-from .bitset import Gf2Matrix, VertexSet, gf2_rank
+from .bitset import VertexSet, rank_of_rows
 from .graph import Graph
 from .hypergraph import (
     ClosedHypergraph,
@@ -140,26 +140,31 @@ def _sorted_members(closed: ClosedHypergraph) -> list[VertexSet]:
 # Property checks.  Each returns a PropertyResult; `trials` scales the work.
 
 
+def _transpose(rows: tuple[int, ...], n_cols: int) -> tuple[int, ...]:
+    """Columns of a 0/1 matrix of packed rows (column j in bit j), packed the same way."""
+    return tuple(
+        sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(n_cols)
+    )
+
+
 def check_gf2_rank_laws(rng: random.Random, trials: int) -> PropertyResult:
     for t in range(trials):
         n_rows = rng.randint(0, 7)
         n_cols = rng.randint(0, 7)
         rows = tuple(rng.getrandbits(n_cols) if n_cols else 0 for _ in range(n_rows))
-        m = Gf2Matrix(n_rows, n_cols, rows)
-        rank = gf2_rank(m)
-        if rank != gf2_rank(m.transpose()):
+        rank = rank_of_rows(rows)
+        if rank != rank_of_rows(_transpose(rows, n_cols)):
             return PropertyResult("gf2-transpose", t + 1, False, f"rows={rows} cols={n_cols}")
         if n_rows >= 2:
             picks = rng.sample(range(n_rows), rng.randint(2, n_rows))
             extra = 0
             for i in picks:
                 extra ^= rows[i]
-            augmented = Gf2Matrix(n_rows + 1, n_cols, rows + (extra,))
-            if gf2_rank(augmented) != rank:
+            if rank_of_rows(rows + (extra,)) != rank:
                 return PropertyResult("gf2-xor-append", t + 1, False, f"rows={rows} xor of {picks}")
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        if gf2_rank(Gf2Matrix(n_rows, n_cols, tuple(shuffled))) != rank:
+        if rank_of_rows(shuffled) != rank:
             return PropertyResult("gf2-row-permutation", t + 1, False, f"rows={rows}")
     return PropertyResult("gf2-rank-laws", trials, True)
 
@@ -217,16 +222,15 @@ def check_submodularity(rng: random.Random, trials: int) -> PropertyResult:
 
 
 def _split_pairs(g: Graph, r: int) -> list[tuple[VertexSet, VertexSet]]:
-    masks = []
-    for mask in range(1 << g.n):
-        x = VertexSet(g.n, mask)
-        if graph_mod.cut_rank(g, x) <= r:
-            masks.append(x)
+    """Pairs (X, Y) of r-splits of g (n >= 1), X <= Y by mask, with |X & Y| >= r."""
+    full = (1 << g.n) - 1
+    sides = [mask for mask, _ in graph_mod.low_rank_cuts(g, r)]
+    splits = [VertexSet(g.n, mask) for mask in sorted(sides + [m ^ full for m in sides])]
     return [
         (x, y)
-        for i, x in enumerate(masks)
-        for y in masks[i:]
-        if len(x & y) >= r
+        for i, x in enumerate(splits)
+        for y in splits[i:]
+        if (x.mask & y.mask).bit_count() >= r
     ]
 
 

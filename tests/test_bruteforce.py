@@ -3,10 +3,13 @@ from __future__ import annotations
 import pytest
 
 import rsplits.graph
+from conftest import seeded_graphs
+from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_closure, brute_cut_rank, brute_rank, brute_splits
 from rsplits.hypergraph import Hypergraph
 from rsplits.limits import TooLargeError
 from rsplits.verification import (
+    _split_pairs,
     check_submodularity,
     property_rng,
     run_verification_suite,
@@ -113,3 +116,14 @@ class TestVerificationSuite:
         result = check_submodularity(property_rng(0, "fault-injection"), 400)
         assert not result.passed
         assert result.detail    # names the counterexample triple
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_split_pairs_match_a_full_cut_scan(self, r):
+        for g in seeded_graphs(53 + r, range(1, 10), 4):
+            splits = [
+                VertexSet(g.n, mask)
+                for mask in range(1 << g.n)
+                if brute_cut_rank(g, frozenset(VertexSet(g.n, mask).members())) <= r
+            ]
+            naive = [(x, y) for i, x in enumerate(splits) for y in splits[i:] if len(x & y) >= r]
+            assert _split_pairs(g, r) == naive, (r, g.edges())

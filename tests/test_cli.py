@@ -201,6 +201,31 @@ class TestGraphParsing:
         assert parse_graph(text) == nine_vertex_graph
         assert sorted(parse_graph(text).edges()) == sorted(NINE_VERTEX_EDGES)
 
+    def test_negative_vertex_count_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "neg.graph"
+        path.write_text("-2 0\n")
+        assert main(["rank", "-g", str(path), "-X", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: universe size must be >= 0, got -2\n"
+
+
+class TestJsonFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["splits", "-g", "g", "-r", "1"],
+            ["essential", "-g", "g", "-r", "1"],
+            ["closure", "-H", "h", "-r", "1"],
+            ["family", "-r", "1", "-k", "2"],
+        ],
+    )
+    def test_rejected_where_it_is_not_honoured(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
 
 class TestHypergraphParseErrors:
     @pytest.mark.parametrize(

@@ -94,9 +94,11 @@ class TestDerivedRules:
             VertexSet.of(8, m)
             for m in [(1, 2, 3), (4, 5, 6, 7, 8), (2, 3, 4, 5), (1, 6, 7, 8)]
         )
-        violations = check_derived_rules(ClosedHypergraph(8, 2, middles))
-        assert violations
-        assert any("P1" in v or "P2" in v for v in violations)
+        assert check_derived_rules(ClosedHypergraph(8, 2, middles)) == [
+            "P2 violated by (1,2,3, 1,6,7,8): 6,7,8 missing",
+            "P1 violated by (1,6,7,8, 4,5,6,7,8): 6,7,8 missing",
+            "P2 violated by (2,3,4,5, 4,5,6,7,8): 6,7,8 missing",
+        ]
 
     def test_random_closures_are_clean(self):
         rng = random.Random(37)

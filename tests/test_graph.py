@@ -127,6 +127,12 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
 
+    def test_universe_checked_like_vertex_sets(self):
+        with pytest.raises(ValueError, match="universe size must be >= 0, got -1"):
+            Graph(-1, ())
+        with pytest.raises(ValueError, match="universe size 129 exceeds"):
+            Graph.from_edges(129, [])
+
     def test_submodularity_on_random_instances(self):
         rng = random.Random(17)
         for _ in range(150):
@@ -168,3 +174,15 @@ class TestGraphFormat:
             parse_graph("# header next\n3 2\n1 2\n1 x\n")
         with pytest.raises(ValueError, match="line 1: bad graph header 'three 2'"):
             parse_graph("three 2\n1 2\n2 3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("-2 0\n", "line 1: universe size must be >= 0, got -2"),
+            ("# big\n200 0\n", "line 2: universe size 200 exceeds the configured budget"),
+            ("3 -1\n", "line 1: edge count must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_header_values_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_graph(text)
