@@ -115,10 +115,6 @@ class VertexSet:
         self._check_same_universe(other)
         return self.mask & ~other.mask == 0
 
-    def isdisjoint(self, other: VertexSet) -> bool:
-        self._check_same_universe(other)
-        return self.mask & other.mask == 0
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical order: by cardinality, then by ascending vertex list."""
         return (len(self), self.members())

@@ -3,6 +3,9 @@
 Exit codes follow one contract: 0 means true/success, 1 means a queried
 property is false or a required hypothesis fails, 2 means a parse or
 usage error.
+
+`ortho` and `verification` are imported inside the commands that use
+them, so a graph command such as `rsplit verify -g` never loads them.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from .hypergraph import (
     parse_closed,
     parse_hypergraph,
 )
-from .ortho import (
-    FamilyParams,
-    build_family,
-    crossfree_size_bounds,
-    find_crossing_pair,
-    is_orthogonal,
-    is_orthogonal_oracle,
-)
+from .limits import PROFILES
 from .splits import (
     NotRankConnectedError,
     enumerate_r_splits,
@@ -38,14 +34,18 @@ from .splits import (
     rank_connected_splits,
     verify_representation,
 )
-from .verification import PROFILES, run_verification_suite
 
 
-def _read(path: str) -> str:
+def _load(parse, path: str):
+    """Read and parse one input file; a parse error names the file, then its line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _usage_error(message: str) -> int:
@@ -69,14 +69,14 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _load_closed(path: str, r: int) -> ClosedHypergraph:
-    closed = parse_closed(_read(path))
+    closed = _load(parse_closed, path)
     if closed.r != r:
         raise ValueError(f"file declares r={closed.r}, command asked for r={r}")
     return closed
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph))
+    g = _load(parse_graph, args.graph)
     x = VertexSet.parse(g.n, args.set)
     rank = cut_rank(g, x)
     _emit({"command": "rank", "n": g.n, "set": str(x), "rank": rank}, args.json, [str(rank)])
@@ -84,14 +84,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_splits(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph))
+    g = _load(parse_graph, args.graph)
     family = enumerate_r_splits(g, args.r)
     _write_out(format_closed(family), args.output)
     return 0
 
 
 def cmd_connected(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph))
+    g = _load(parse_graph, args.graph)
     verdict = is_r_rank_connected(g, args.r)
     _emit(
         {"command": "connected", "n": g.n, "r": args.r, "r_rank_connected": verdict},
@@ -102,13 +102,13 @@ def cmd_connected(args: argparse.Namespace) -> int:
 
 
 def cmd_essential(args: argparse.Namespace) -> int:
-    family = rank_connected_splits(parse_graph(_read(args.graph)), args.r)
+    family = rank_connected_splits(_load(parse_graph, args.graph), args.r)
     _write_out(format_hypergraph(essential_representation(family)), args.output)
     return 0
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    h = parse_hypergraph(_read(args.hypergraph))
+    h = _load(parse_hypergraph, args.hypergraph)
     close = close_degenerate if args.degenerate else close_full
     _write_out(format_closed(close(h, args.r)), args.output)
     return 0
@@ -127,6 +127,8 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 
 def cmd_ortho(args: argparse.Namespace) -> int:
+    from .ortho import is_orthogonal, is_orthogonal_oracle
+
     a = VertexSet.parse(args.n, args.set_a)
     b = VertexSet.parse(args.n, args.set_b)
     if args.oracle:
@@ -150,7 +152,9 @@ def cmd_ortho(args: argparse.Namespace) -> int:
 
 
 def cmd_crossfree(args: argparse.Namespace) -> int:
-    h = parse_hypergraph(_read(args.hypergraph))
+    from .ortho import find_crossing_pair
+
+    h = _load(parse_hypergraph, args.hypergraph)
     crossing = find_crossing_pair(h, args.r)
     payload = {
         "command": "crossfree",
@@ -167,13 +171,17 @@ def cmd_crossfree(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    from .ortho import FamilyParams, build_family
+
     family = build_family(FamilyParams(args.r, args.k))
     _write_out(format_hypergraph(family), args.output)
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    h = parse_hypergraph(_read(args.hypergraph))
+    from .ortho import crossfree_size_bounds, find_crossing_pair
+
+    h = _load(parse_hypergraph, args.hypergraph)
     crossing = find_crossing_pair(h, args.r)
     if crossing is not None:
         print(
@@ -200,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is None and args.r is not None:
         return _usage_error("-r needs -g")
     if args.graph is not None:
-        g = parse_graph(_read(args.graph))
+        g = _load(parse_graph, args.graph)
         report = verify_representation(g, args.r if args.r is not None else 1)
         lines = [
             f"splits (middles)    {report.middle_count}",
@@ -211,6 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
         _emit({"command": "verify", **report.to_dict()}, args.json, lines)
         return 0 if report.passed else 1
+    from .verification import run_verification_suite
+
     suite = run_verification_suite(seed=args.seed, profile=args.profile)
     _emit(
         {"command": "verify", **suite.to_dict()},

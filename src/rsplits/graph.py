@@ -59,11 +59,6 @@ class Graph:
                 row ^= low
         return out
 
-    def neighbors(self, v: int) -> VertexSet:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} outside range 1..{self.n}")
-        return VertexSet(self.n, self.adj[v - 1])
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

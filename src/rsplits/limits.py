@@ -20,6 +20,11 @@ DEFAULT_EXHAUSTIVE_CAP = 24
 # Brute-force reference computations over explicit 2^n families.
 DEFAULT_ORACLE_CAP = 14
 
+# Verification suite profiles: each property runs its quick or its full
+# trial count.  Defined here so the CLI can offer them without importing
+# the suite.
+PROFILES = ("quick", "full")
+
 _ENV_VAR = "RSPLIT_MAX_N"
 
 

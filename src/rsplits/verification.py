@@ -25,6 +25,7 @@ from .hypergraph import (
     normalize,
     trivial_closure_size,
 )
+from .limits import PROFILES
 from .ortho import FamilyParams
 
 
@@ -271,11 +272,10 @@ def check_middle_rank_floor(rng: random.Random, trials: int) -> PropertyResult:
 def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyResult:
     combos = 0
     for n in range(0, 13):
+        sets = [VertexSet(n, mask) for mask in range(1 << n)]
         for r in range(0, 4):
             empty = ClosedHypergraph(n, r, frozenset())
-            count = sum(
-                1 for mask in range(1 << n) if empty.contains(VertexSet(n, mask))
-            )
+            count = sum(1 for x in sets if empty.contains(x))
             if count != trivial_closure_size(n, r):
                 return PropertyResult("trivial-closure-census", combos + 1, False, f"n={n} r={r}")
             if n > 2 * r:
@@ -633,8 +633,6 @@ REGISTRY: tuple[tuple[str, Check, int, int], ...] = (
     ("lowerbound-desk", check_lower_bound_desk, 1, 1),
     ("splits-vs-bruteforce", check_split_enumeration_vs_bruteforce, 40, 200),
 )
-
-PROFILES = ("quick", "full")
 
 
 def run_verification_suite(seed: int = 2024, profile: str = "quick") -> SuiteReport:

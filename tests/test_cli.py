@@ -175,7 +175,9 @@ class TestVerify:
         path = tmp_path / "bad.graph"
         path.write_text("3 2\n1 2\n1 x\n")
         assert main(["verify", "-g", str(path), "-r", "1"]) == 2
-        assert "line 3: bad edge line '1 x'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: bad edge line '1 x', expected 'u v'\n"
+        )
 
     def test_rank_without_graph_is_usage_error(self, capsys):
         assert main(["verify", "-r", "2"]) == 2
@@ -207,7 +209,13 @@ class TestGraphParsing:
         assert main(["rank", "-g", str(path), "-X", "-"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: line 1: universe size must be >= 0, got -2\n"
+        assert captured.err == f"error: {path}: line 1: universe size must be >= 0, got -2\n"
+
+    def test_undecodable_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.graph"
+        path.write_bytes(b"2 1\n1 2 \xff\n")
+        assert main(["connected", "-g", str(path), "-r", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec")
 
 
 class TestJsonFlag:
@@ -243,4 +251,4 @@ class TestHypergraphParseErrors:
         assert main(argv[:1] + ["-H", str(path)] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {path}: {message}\n"
