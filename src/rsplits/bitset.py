@@ -7,7 +7,6 @@ and formatting time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import limits
@@ -29,12 +28,66 @@ def data_lines(text: str) -> list[tuple[int, str]]:
     return [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
 
 
-@dataclass(frozen=True)
-class VertexSet:
+_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in `_fields` and in `__slots__`, and its
+    `__init__` sets them with `_setattr` and then calls `self.__post_init__()`,
+    which validates them.  Two values are equal when they have the same class
+    and the same field tuple, which is also what they hash.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class VertexSet(Frozen):
     """A subset of {1, ..., n} stored as an n-bit mask."""
 
+    __slots__ = _fields = ("n", "mask")
     n: int
     mask: int
+
+    def __init__(self, n: int, mask: int) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "mask", mask)
+        self.__post_init__()
+
+    # Spelled out for speed: sets of VertexSet hash and compare these a lot.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.mask == other.mask
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     def __post_init__(self) -> None:
         _check_universe(self.n)

@@ -8,19 +8,23 @@ value the rank can take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import limits
-from .bitset import VertexSet, _check_universe, data_lines, rank_of_rows
+from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, rank_of_rows
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Undirected simple graph; adj[u-1] is the neighbor mask of vertex u."""
 
+    __slots__ = _fields = ("n", "adj")
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "adj", adj)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
@@ -193,7 +197,7 @@ def parse_graph(text: str) -> Graph:
     if m < 0:
         raise ValueError(f"line {k}: edge count must be >= 0, got {m}")
     if len(data) - 1 != m:
-        raise ValueError(f"header promises {m} edges, file has {len(data) - 1}")
+        raise ValueError(f"line {k}: header promises {m} edges, file has {len(data) - 1}")
     edges = []
     seen = set()
     for k, ln in data[1:]:

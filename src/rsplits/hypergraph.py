@@ -11,22 +11,26 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitset import VertexSet, _check_universe, data_lines
+from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines
 
 
 class NotClosedError(ValueError):
     """A family presented as r-closed violates one of the closure rules."""
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Frozen):
     """An explicit, deduplicated family of vertex sets over {1..n}."""
 
+    __slots__ = _fields = ("n", "edges")
     n: int
     edges: frozenset[VertexSet]
+
+    def __init__(self, n: int, edges: frozenset[VertexSet]) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
@@ -60,13 +64,20 @@ def trivial_closure_size(n: int, r: int) -> int:
     return sum(math.comb(n, i) for i in range(n + 1) if i <= r or i >= n - r)
 
 
-@dataclass(frozen=True)
-class ClosedHypergraph:
+class ClosedHypergraph(Frozen):
     """Canonical r-closed family: explicit middles, implicit trivial part."""
 
+    _fields = ("n", "r", "middles")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached _half_size_meets
     n: int
     r: int
     middles: frozenset[VertexSet]
+
+    def __init__(self, n: int, r: int, middles: frozenset[VertexSet]) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "r", r)
+        _setattr(self, "middles", middles)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_universe(self.n)

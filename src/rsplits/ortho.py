@@ -10,11 +10,10 @@ family needing about n^r members in any generating set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import limits
-from .bitset import VertexSet
+from .bitset import Frozen, VertexSet, _setattr
 from .closure import close_degenerate, close_full
 from .hypergraph import ClosedHypergraph, Hypergraph, equals, is_middle
 from .splits import essential_representation
@@ -81,8 +80,7 @@ def cross_free_closure(h: Hypergraph, r: int) -> ClosedHypergraph:
     return close_degenerate(h, r)
 
 
-@dataclass(frozen=True)
-class CrossFreeBoundsReport:
+class CrossFreeBoundsReport(NamedTuple):
     """Size accounting for a cross-free family and its closure."""
 
     n: int
@@ -100,7 +98,7 @@ class CrossFreeBoundsReport:
         return self.chain_holds and self.cap_holds
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
@@ -123,8 +121,7 @@ def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
     )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Frozen):
     """Parameters of the colored lower-bound family over n = k(r+1) vertices.
 
     Vertices carry a value v in 0..k-1 and a color c in 1..r+1, laid out as
@@ -132,8 +129,14 @@ class FamilyParams:
     block (c-1)*k+1 .. c*k.
     """
 
+    __slots__ = _fields = ("r", "k")
     r: int
     k: int
+
+    def __init__(self, r: int, k: int) -> None:
+        _setattr(self, "r", r)
+        _setattr(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -171,8 +174,7 @@ def build_family(p: FamilyParams) -> Hypergraph:
     return Hypergraph(p.n, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     """Desk-scale witness that generating families cannot be much smaller
     than the cross-free family they close to."""
 
@@ -190,7 +192,7 @@ class LowerBoundReport:
         return self.closure_matches and self.inequality_holds
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def verify_lower_bound(p: FamilyParams) -> LowerBoundReport:

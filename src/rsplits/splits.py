@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import limits
 from .bitset import VertexSet
@@ -97,8 +96,7 @@ def essential_representation(h: ClosedHypergraph) -> Hypergraph:
     return Hypergraph(h.n, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(NamedTuple):
     """Outcome of reconstructing a graph's r-split family from its essential part."""
 
     n: int
@@ -113,7 +111,7 @@ class RoundTripReport:
         return self.closure_matches and self.essential_count <= self.essential_bound
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def verify_representation(g: Graph, r: int) -> RoundTripReport:

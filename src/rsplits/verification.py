@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import bruteforce, closure as closure_mod, graph as graph_mod, ortho as ortho_mod
 from . import splits as splits_mod
@@ -29,8 +28,7 @@ from .limits import PROFILES
 from .ortho import FamilyParams
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     tag: str
     trials: int
     passed: bool
@@ -42,11 +40,10 @@ class PropertyResult:
         return f"{status} {self.tag} {detail}"
 
     def to_dict(self) -> dict:
-        return {"tag": self.tag, "trials": self.trials, "passed": self.passed, "detail": self.detail}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     seed: int
     profile: str
     results: tuple[PropertyResult, ...]

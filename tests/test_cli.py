@@ -179,6 +179,14 @@ class TestVerify:
             f"error: {path}: line 3: bad edge line '1 x', expected 'u v'\n"
         )
 
+    def test_edge_count_error_names_the_header_line(self, tmp_path, capsys):
+        path = tmp_path / "short.graph"
+        path.write_text("3 1\n1 2\n2 3")
+        assert main(["verify", "-g", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 1: header promises 1 edges, file has 2\n"
+
     def test_rank_without_graph_is_usage_error(self, capsys):
         assert main(["verify", "-r", "2"]) == 2
         captured = capsys.readouterr()

@@ -181,6 +181,7 @@ class TestGraphFormat:
             ("-2 0\n", "line 1: universe size must be >= 0, got -2"),
             ("# big\n200 0\n", "line 2: universe size 200 exceeds the configured budget"),
             ("3 -1\n", "line 1: edge count must be >= 0, got -1"),
+            ("# two edges\n3 1\n1 2\n2 3\n", "line 2: header promises 1 edges, file has 2"),
         ],
     )
     def test_bad_header_values_name_the_line(self, text, message):

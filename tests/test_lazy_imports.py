@@ -16,9 +16,12 @@ import rsplits
 SRC = str(Path(rsplits.__file__).resolve().parent.parent)
 
 # Runs in a fresh interpreter: one graph verification and one bad --profile,
-# then reports which rsplits modules got loaded.
+# then reports which rsplits modules got loaded, and which other modules were
+# loaded that the interpreter (with whatever its site hooks import) did not
+# already have before `import rsplits.cli`.
 CHILD = """
 import json, sys
+before = set(sys.modules)
 import rsplits.cli
 code = rsplits.cli.main(["verify", "-g", sys.argv[1], "-r", "1"])
 try:
@@ -26,7 +29,8 @@ try:
 except SystemExit as exc:
     bogus = exc.code
 loaded = sorted(name for name in sys.modules if name.startswith("rsplits"))
-print(json.dumps({"code": code, "bogus": bogus, "loaded": loaded}))
+added = sorted(set(sys.modules) - before)
+print(json.dumps({"code": code, "bogus": bogus, "loaded": loaded, "added": added}))
 """
 
 
@@ -44,6 +48,10 @@ def test_verify_graph_loads_only_what_it_runs(tmp_path):
     assert "rsplits.splits" in report["loaded"]
     for name in ("rsplits.verification", "rsplits.ortho", "rsplits.bruteforce"):
         assert name not in report["loaded"]
+    # The value types and reports are built without dataclasses, whose import
+    # pulls in inspect, ast, dis and tokenize.
+    for name in ("dataclasses", "inspect"):
+        assert name not in report["added"]
 
 
 @pytest.mark.parametrize("name", rsplits.__all__)
