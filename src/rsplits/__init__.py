@@ -4,7 +4,8 @@ hyperedge families, with brute-force oracles for desk-scale verification.
 Submodules load on first use: `rsplits.close_full` imports
 `rsplits.closure`, and `rsplits.ortho` imports the module itself, so the
 `rsplit` command pays only for the modules its subcommand runs.  Every
-access goes to the defining module; nothing is cached here.
+access goes to the defining module; nothing is cached here.  `__all__` is
+derived from `_EXPORTS`, the one table of public names.
 """
 
 import importlib
@@ -62,49 +63,7 @@ _DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in na
 
 _SUBMODULES = frozenset(_EXPORTS) | {"bruteforce", "cli"}
 
-__all__ = [
-    "ClosedHypergraph",
-    "CrossFreeBoundsReport",
-    "FamilyParams",
-    "Graph",
-    "Hypergraph",
-    "LowerBoundReport",
-    "NotClosedError",
-    "NotRankConnectedError",
-    "PropertyResult",
-    "RoundTripReport",
-    "SuiteReport",
-    "TooLargeError",
-    "VertexSet",
-    "build_family",
-    "check_derived_rules",
-    "close_degenerate",
-    "close_full",
-    "cross_free_closure",
-    "crossfree_size_bounds",
-    "cut_rank",
-    "enumerate_r_splits",
-    "equals",
-    "essential_representation",
-    "find_crossing_pair",
-    "format_closed",
-    "format_graph",
-    "format_hypergraph",
-    "is_cross_free",
-    "is_orthogonal",
-    "is_orthogonal_oracle",
-    "is_r_rank_connected",
-    "is_r_split",
-    "is_trivial_cut",
-    "normalize",
-    "parse_closed",
-    "parse_graph",
-    "parse_hypergraph",
-    "phi",
-    "run_verification_suite",
-    "verify_lower_bound",
-    "verify_representation",
-]
+__all__ = sorted(_DEFINED_IN)
 
 
 def __getattr__(name: str):

@@ -22,6 +22,15 @@ def _check_universe(n: int) -> None:
         )
 
 
+def parse_int(token: str) -> int:
+    """The integer a file-format token spells: ASCII digits with an optional
+    leading '-'.  Unlike int(), refuses '+', '_', and non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def data_lines(text: str) -> list[tuple[int, str]]:
     """Stripped lines that are neither blank nor '#' comments, with their 1-based numbers."""
     lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1)]
@@ -118,7 +127,7 @@ class VertexSet(Frozen):
         if text == "-":
             return cls.empty(n)
         try:
-            vertices = [int(part) for part in text.split(",")]
+            vertices = [parse_int(part.strip()) for part in text.split(",")]
         except ValueError:
             raise ValueError(f"bad vertex set {text!r}") from None
         if vertices != sorted(set(vertices)):

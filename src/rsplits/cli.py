@@ -54,10 +54,14 @@ def _usage_error(message: str) -> int:
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
+    """Write to the -o path, or to stdout without one; a failed write is a usage error."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:

@@ -11,14 +11,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .bitset import VertexSet
-from .hypergraph import ClosedHypergraph, Hypergraph, closed_from_masks
-
-
-def _seed_middles(h: Hypergraph, r: int) -> list[int]:
-    """Masks of the middle edges of h and their complements, without repeats."""
-    full = (1 << h.n) - 1
-    edges = [edge.mask for edge in h.edges if r < len(edge) < h.n - r]
-    return list(dict.fromkeys(edges + [mask ^ full for mask in edges]))
+from .hypergraph import ClosedHypergraph, Hypergraph, closed_from_masks, middles_and_complements
 
 
 def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
@@ -32,7 +25,7 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
         raise ValueError("r must be >= 0")
     n = h.n
     full = (1 << n) - 1
-    order = _seed_middles(h, r)
+    order = middles_and_complements(n, r, (edge.mask for edge in h.edges))
     seen = set(order)
     for i, a in enumerate(order):
         for b in islice(order, i):
@@ -44,14 +37,14 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
                     seen.add(co_union)
                     order.append(union)
                     order.append(co_union)
-    return closed_from_masks(n, r, order)
+    return ClosedHypergraph(n, r, frozenset(VertexSet(n, mask) for mask in order))
 
 
 def close_degenerate(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Least family containing h that is closed under K0 and K1 only."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return closed_from_masks(h.n, r, _seed_middles(h, r))
+    return closed_from_masks(h.n, r, (edge.mask for edge in h.edges))
 
 
 def check_derived_rules(h: ClosedHypergraph) -> list[str]:

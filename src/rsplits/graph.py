@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from . import limits
-from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, rank_of_rows
+from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, parse_int, rank_of_rows
 
 
 class Graph(Frozen):
@@ -217,7 +217,7 @@ def _int_pair(lineno: int, line: str, what: str, expected: str) -> tuple[int, in
     parts = line.split()
     if len(parts) == 2:
         try:
-            return int(parts[0]), int(parts[1])
+            return parse_int(parts[0]), parse_int(parts[1])
         except ValueError:
             pass
     raise ValueError(f"line {lineno}: bad {what} {line!r}, expected {expected}")

@@ -13,7 +13,8 @@ import itertools
 import math
 from typing import Iterable, Iterator
 
-from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines
+from . import limits
+from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, parse_int
 
 
 class NotClosedError(ValueError):
@@ -121,9 +122,10 @@ class ClosedHypergraph(Frozen):
         """Total family size, implicit part included."""
         return trivial_closure_size(self.n, self.r) + len(self.middles)
 
-    def materialize(self, limit: int = 1 << 22) -> Hypergraph:
+    def materialize(self) -> Hypergraph:
         """Expand to an explicit family, implicit members included."""
         total = self.member_count()
+        limit = limits.MAX_EXPLICIT_FAMILY
         if total > limit:
             raise ValueError(f"materialized family would have {total} members (limit {limit})")
         edges = set(self.middles)
@@ -137,9 +139,18 @@ class ClosedHypergraph(Frozen):
         return Hypergraph(self.n, frozenset(edges))
 
 
+def middles_and_complements(n: int, r: int, masks: Iterable[int]) -> list[int]:
+    """K0 and K1 on masks over {1..n}: the masks in the middle zone
+    r < |A| < n-r, then their complements, each once, in first-seen order."""
+    full = (1 << n) - 1
+    middles = [mask for mask in masks if r < mask.bit_count() < n - r]
+    return list(dict.fromkeys(middles + [mask ^ full for mask in middles]))
+
+
 def closed_from_masks(n: int, r: int, masks: Iterable[int]) -> ClosedHypergraph:
-    """The closed family whose middles are the given masks over {1..n}."""
-    return ClosedHypergraph(n, r, frozenset(VertexSet(n, mask) for mask in masks))
+    """Least family containing the masks over {1..n} closed under K0 and K1."""
+    middles = middles_and_complements(n, r, masks)
+    return ClosedHypergraph(n, r, frozenset(VertexSet(n, mask) for mask in middles))
 
 
 def equals(h1: ClosedHypergraph, h2: ClosedHypergraph) -> bool:
@@ -191,7 +202,7 @@ _IMPLICIT_MARKER = "implicit cl-empty"
 
 def _parse_universe(k: int, line: str) -> int:
     try:
-        n = int(line)
+        n = parse_int(line)
     except ValueError:
         raise ValueError(f"line {k}: bad universe line {line!r}, expected 'n'") from None
     try:
@@ -237,9 +248,12 @@ def parse_closed(text: str) -> ClosedHypergraph:
     n = _parse_universe(*data[0])
     k, header = data[1]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "r" or not parts[1].isdecimal():
+    try:
+        r = parse_int(parts[1]) if len(parts) == 2 and parts[0] == "r" else -1
+    except ValueError:
+        r = -1
+    if r < 0:
         raise ValueError(f"line {k}: bad rank header {header!r}, expected 'r <value>'")
-    r = int(parts[1])
     body = [(k, ln) for k, ln in data[2:] if ln != _IMPLICIT_MARKER]
     middles = _parse_sets(n, body)
     for (k, line), a in zip(body, middles):

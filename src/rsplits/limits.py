@@ -14,6 +14,10 @@ import os
 # assigning to the module attribute if you know what you are doing.
 MAX_UNIVERSE = 128
 
+# Members of an explicit family; ClosedHypergraph.materialize and
+# ortho.build_family refuse to build more.
+MAX_EXPLICIT_FAMILY = 1 << 22
+
 # Pruned cut searches (r-rank connectivity, split enumeration).
 DEFAULT_EXHAUSTIVE_CAP = 24
 

@@ -13,7 +13,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from . import limits
-from .bitset import Frozen, VertexSet, _setattr
+from .bitset import Frozen, VertexSet, _check_universe, _setattr
 from .closure import close_degenerate, close_full
 from .hypergraph import ClosedHypergraph, Hypergraph, equals, is_middle
 from .splits import essential_representation
@@ -160,11 +160,19 @@ def build_family(p: FamilyParams) -> Hypergraph:
     """All sets with one vertex per color whose values sum to 0 mod k.
 
     The first r values are free and determine the last, so the family has
-    exactly k^r edges, each of size r+1.
+    exactly k^r edges, each of size r+1.  Refuses (TooLargeError) before
+    building anything when k^r exceeds limits.MAX_EXPLICIT_FAMILY.
     """
+    _check_universe(p.n)
+    count = p.k**p.r
+    if count > limits.MAX_EXPLICIT_FAMILY:
+        raise limits.TooLargeError(
+            f"family for r={p.r}, k={p.k} would have k^r = {count} edges "
+            f"(limit {limits.MAX_EXPLICIT_FAMILY})"
+        )
     edges = []
     values = [0] * (p.r + 1)
-    for index in range(p.k**p.r):
+    for index in range(count):
         rem = index
         for i in range(p.r):
             values[i] = rem % p.k

@@ -33,7 +33,7 @@ def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
         raise ValueError("r must be >= 0")
     limits.check_cap(g.n, limits.exhaustive_cap(), "split enumeration")
     sides = [mask for mask, _ in low_rank_cuts(g, r, range(r + 1, g.n - r))]
-    return _family(g.n, r, sides)
+    return closed_from_masks(g.n, r, sides)
 
 
 def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
@@ -52,15 +52,8 @@ def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
         size = mask.bit_count()
         if rank < r and rank < min(size, n - size):
             raise NotRankConnectedError(f"graph is not {r}-rank connected")
-        if r < size < n - r:
-            sides.append(mask)
-    return _family(n, r, sides)
-
-
-def _family(n: int, r: int, sides: list[int]) -> ClosedHypergraph:
-    """The closed family whose middles are the given sides and their complements."""
-    full = (1 << n) - 1
-    return closed_from_masks(n, r, {mask for side in sides for mask in (side, side ^ full)})
+        sides.append(mask)
+    return closed_from_masks(n, r, sides)
 
 
 def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:

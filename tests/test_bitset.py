@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from rsplits.bitset import VertexSet, rank_of_rows
+from rsplits.bitset import VertexSet, parse_int, rank_of_rows
 from rsplits.bruteforce import brute_rank
 
 
@@ -60,6 +60,14 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet.parse(8, "1,x")
 
+    def test_parse_keeps_spaces_around_vertices(self):
+        assert VertexSet.parse(8, " 1, 3 ,7") == VertexSet.of(8, [1, 3, 7])
+
+    @pytest.mark.parametrize("text", ["+1", "1,+3", "1_0", "1,\u0663", "\uff11", "1,-", "1,,2"])
+    def test_parse_takes_ascii_decimal_vertices_only(self, text):
+        with pytest.raises(ValueError, match="bad vertex set"):
+            VertexSet.parse(12, text)
+
     @given(st.integers(0, 24), st.data())
     def test_cardinality_identity(self, n, data):
         a = VertexSet(n, data.draw(st.integers(0, (1 << n) - 1)))
@@ -71,6 +79,20 @@ class TestVertexSet:
         a = VertexSet(n, data.draw(st.integers(0, (1 << n) - 1)))
         assert a.complement().complement() == a
         assert len(a) + len(a.complement()) == n
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("token, value", [("0", 0), ("7", 7), ("007", 7), ("-2", -2), ("128", 128)])
+    def test_ascii_digits_with_optional_minus(self, token, value):
+        assert parse_int(token) == value
+
+    @pytest.mark.parametrize(
+        "token",
+        ["", "-", "+3", "--3", "1_0", "3.0", " 3", "3 ", "0x1", "\u0663", "\uff13", "-\u0663", "\u00b2"],
+    )
+    def test_rejects_every_other_spelling(self, token):
+        with pytest.raises(ValueError, match="invalid integer"):
+            parse_int(token)
 
 
 def _matrices(max_dim=7):

@@ -145,6 +145,41 @@ class TestFamily:
         parsed = parse_hypergraph(fam.read_text())
         assert len(parsed) == 4
 
+    def test_refuses_k_to_the_r_above_the_explicit_family_limit(self, capsys):
+        assert main(["family", "-r", "20", "-k", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: family for r=20, k=6 would have k^r = {6**20} edges (limit 4194304)\n"
+        )
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "-r", "1", "-k", "2"],
+            ["closure", "-H", "{hg}", "-r", "1"],
+            ["splits", "-g", "{graph}", "-r", "1"],
+        ],
+    )
+    def test_missing_directory_is_a_usage_error(self, tmp_path, c4_file, capsys, argv):
+        hg = tmp_path / "h.hg"
+        hg.write_text("4\n1,2\n")
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(hg=hg, graph=c4_file) for a in argv]
+        assert main(argv + ["-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: [Errno 2] ")
+        assert captured.err.count("\n") == 1
+
+    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["family", "-r", "1", "-k", "2", "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: [Errno 21] ")
+
 
 class TestBounds:
     def test_report_and_exit(self, tmp_path, capsys):
@@ -251,12 +286,35 @@ class TestHypergraphParseErrors:
             (["member", "-r", "1", "-X", "1,3"], "4\nr x\n1,3\n2,4\n",
              "line 2: bad rank header 'r x', expected 'r <value>'"),
             (["crossfree", "-r", "1"], "4\n1,2\n# next\n1,x\n", "line 4: bad vertex set '1,x'"),
+            (["closure", "-r", "1"], "1_0\n+1, 2\n", "line 1: bad universe line '1_0', expected 'n'"),
+            (["closure", "-r", "1"], "4\n+1, 2\n", "line 2: bad vertex set '+1, 2'"),
+            (["member", "-r", "1", "-X", "1,3"], "4\nr \u0661\n1,3\n2,4\n",
+             "line 2: bad rank header 'r \u0661', expected 'r <value>'"),
         ],
     )
     def test_exit_2_with_one_line_naming_the_line(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "bad.hg"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert main(argv[:1] + ["-H", str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+
+class TestGraphNumberSpellings:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("+3 1\n1 2\n", "line 1: bad graph header '+3 1', expected 'n m'"),
+            ("\u0663 0\n", "line 1: bad graph header '\u0663 0', expected 'n m'"),
+            ("3 1\n# edge\n1 2_0\n", "line 3: bad edge line '1 2_0', expected 'u v'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["splits", "essential", "connected", "verify"])
+    def test_exit_2_naming_the_line(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, "-g", str(path), "-r", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"

@@ -187,3 +187,18 @@ class TestGraphFormat:
     def test_bad_header_values_name_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_graph(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("+3 1\n1 2\n", "line 1: bad graph header '+3 1', expected 'n m'"),
+            ("\u0663 0\n", "line 1: bad graph header '\u0663 0', expected 'n m'"),
+            ("3 1_0\n", "line 1: bad graph header '3 1_0', expected 'n m'"),
+            ("3 1\n1 +2\n", "line 2: bad edge line '1 +2', expected 'u v'"),
+            ("# edges\n3 1\n1 \uff12\n", "line 3: bad edge line '1 \uff12', expected 'u v'"),
+        ],
+    )
+    def test_fields_are_ascii_decimal_integers(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import SIX_MIDDLES
+from rsplits import limits
 from rsplits.bitset import VertexSet
 from rsplits.closure import close_full
 from rsplits.hypergraph import (
@@ -15,6 +16,7 @@ from rsplits.hypergraph import (
     equals,
     format_closed,
     format_hypergraph,
+    middles_and_complements,
     normalize,
     parse_closed,
     parse_hypergraph,
@@ -131,6 +133,40 @@ class TestEquals:
             equals(ClosedHypergraph(8, 2, frozenset()), ClosedHypergraph(8, 1, frozenset()))
 
 
+class TestMiddlesAndComplements:
+    def test_keeps_middles_adds_complements_each_once_in_first_seen_order(self):
+        # over {1..6} at r = 1: 0b11 (size 2) is a middle, 0b1 (size 1) and
+        # 0b11111 (size 5) are implicit, and 0b111100 is the complement of 0b11
+        masks = [0b000011, 0b000001, 0b011111, 0b000111, 0b111100, 0b000011]
+        assert middles_and_complements(6, 1, masks) == [0b000011, 0b000111, 0b111100, 0b111000]
+
+    def test_nothing_is_a_middle_when_the_zone_is_empty(self):
+        assert middles_and_complements(4, 2, range(16)) == []
+
+
+class TestMaterialize:
+    def test_includes_the_implicit_part(self, two_edge_closure):
+        explicit = two_edge_closure.materialize()
+        assert len(explicit) == two_edge_closure.member_count()
+
+    def test_limit_is_inclusive(self, monkeypatch, two_edge_closure):
+        total = two_edge_closure.member_count()
+        monkeypatch.setattr(limits, "MAX_EXPLICIT_FAMILY", total)
+        assert len(two_edge_closure.materialize()) == total
+        monkeypatch.setattr(limits, "MAX_EXPLICIT_FAMILY", total - 1)
+        with pytest.raises(ValueError, match="materialized family would have"):
+            two_edge_closure.materialize()
+
+    def test_refuses_a_family_above_the_limit(self):
+        family = ClosedHypergraph(40, 6, frozenset())
+        total = family.member_count()
+        limit = limits.MAX_EXPLICIT_FAMILY
+        assert total > limit
+        message = rf"^materialized family would have {total} members \(limit {limit}\)$"
+        with pytest.raises(ValueError, match=message):
+            family.materialize()
+
+
 class TestConstructionInvariants:
     def test_middle_zone_enforced(self):
         with pytest.raises(ValueError, match="middle zone"):
@@ -190,6 +226,11 @@ class TestParseErrorsNameTheLine:
             ("4\n1,2\n\n1,x\n", "line 4: bad vertex set '1,x'"),
             ("4\n2,1\n", "line 2: vertex set '2,1' is not strictly ascending"),
             ("4\n# edges\n1,9\n", "line 3: vertex 9 outside universe 1..4 in vertex set '1,9'"),
+            ("1_0\n+1, 2\n", "line 1: bad universe line '1_0', expected 'n'"),
+            ("+4\n1,2\n", "line 1: bad universe line '+4', expected 'n'"),
+            ("\u0664\n1,2\n", "line 1: bad universe line '\u0664', expected 'n'"),
+            ("4\n+1, 2\n", "line 2: bad vertex set '+1, 2'"),
+            ("4\n1,\u0662\n", "line 2: bad vertex set '1,\u0662'"),
         ],
     )
     def test_hypergraph(self, text, message):
@@ -203,6 +244,11 @@ class TestParseErrorsNameTheLine:
             ("x\nr 1\n", "line 1: bad universe line 'x', expected 'n'"),
             ("4\n# rank\nr x\n", "line 3: bad rank header 'r x', expected 'r <value>'"),
             ("4\nr -1\n", "line 2: bad rank header 'r -1', expected 'r <value>'"),
+            ("4\nr \u0661\n1,3\n2,4\n", "line 2: bad rank header 'r \u0661', expected 'r <value>'"),
+            ("4\nr +1\n", "line 2: bad rank header 'r +1', expected 'r <value>'"),
+            ("4\nr 1_0\n", "line 2: bad rank header 'r 1_0', expected 'r <value>'"),
+            ("+4\nr 1\n", "line 1: bad universe line '+4', expected 'n'"),
+            ("4\nr 1\n1,+3\n", "line 3: bad vertex set '1,+3'"),
             ("4\nr 1\n1,3\n2,x\n", "line 4: bad vertex set '2,x'"),
             ("4\nr 1\n1,3\n1\n", "line 4: '1' has size 1, outside the middle zone"),
         ],

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from rsplits import limits
 from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_orthogonal
 from rsplits.closure import close_full
 from rsplits.hypergraph import Hypergraph, equals
+from rsplits.limits import TooLargeError
 from rsplits.ortho import (
     FamilyParams,
     build_family,
@@ -264,6 +266,23 @@ class TestBuildFamily:
             FamilyParams(0, 3)
         with pytest.raises(ValueError):
             FamilyParams(2, 1)
+
+    def test_refuses_more_edges_than_an_explicit_family_may_hold(self):
+        # n = 126 is inside MAX_UNIVERSE, so only the edge count stops it
+        limit = limits.MAX_EXPLICIT_FAMILY
+        message = rf"^family for r=20, k=6 would have k\^r = {6**20} edges \(limit {limit}\)$"
+        with pytest.raises(TooLargeError, match=message):
+            build_family(FamilyParams(20, 6))
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_EXPLICIT_FAMILY", 8)
+        assert len(build_family(FamilyParams(3, 2))) == 8
+        with pytest.raises(TooLargeError, match=r"k\^r = 9 edges \(limit 8\)"):
+            build_family(FamilyParams(2, 3))
+
+    def test_universe_checked_before_the_edge_count(self):
+        with pytest.raises(ValueError, match="universe size 202 exceeds the configured budget"):
+            build_family(FamilyParams(100, 2))
 
 
 class TestLowerBound:
