@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from . import limits
+from .limits import parse_int
 
 
 def _check_universe(n: int) -> None:
@@ -20,15 +21,6 @@ def _check_universe(n: int) -> None:
             f"universe size {n} exceeds the configured budget "
             f"({limits.MAX_UNIVERSE}); raise rsplits.limits.MAX_UNIVERSE to allow it"
         )
-
-
-def parse_int(token: str) -> int:
-    """The integer a file-format token spells: ASCII digits with an optional
-    leading '-'.  Unlike int(), refuses '+', '_', and non-ASCII digits."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer {token!r}")
-    return int(token)
 
 
 def data_lines(text: str) -> list[tuple[int, str]]:
@@ -99,8 +91,10 @@ class VertexSet(Frozen):
         return hash((self.n, self.mask))
 
     def __post_init__(self) -> None:
-        _check_universe(self.n)
-        if not 0 <= self.mask < (1 << self.n):
+        n = self.n
+        if not 0 <= n <= limits.MAX_UNIVERSE:
+            _check_universe(n)
+        if not 0 <= self.mask < (1 << n):
             raise ValueError(f"mask {self.mask:#x} has bits outside a universe of size {self.n}")
 
     @classmethod
@@ -138,12 +132,19 @@ class VertexSet(Frozen):
             raise ValueError(f"{exc} in vertex set {text!r}") from None
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        """The vertices in ascending order."""
+        out = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return tuple(out)
 
     def __str__(self) -> str:
         if not self.mask:
             return "-"
-        return ",".join(str(v) for v in self.members())
+        return ",".join(map(str, self.members()))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -179,7 +180,7 @@ class VertexSet(Frozen):
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical order: by cardinality, then by ascending vertex list."""
-        return (len(self), self.members())
+        return (self.mask.bit_count(), self.members())
 
 
 def rank_of_rows(rows: Iterable[int]) -> int:

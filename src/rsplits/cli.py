@@ -26,7 +26,7 @@ from .hypergraph import (
     parse_closed,
     parse_hypergraph,
 )
-from .limits import PROFILES
+from .limits import PROFILES, parse_int
 from .splits import (
     NotRankConnectedError,
     enumerate_r_splits,
@@ -46,6 +46,14 @@ def _load(parse, path: str):
         return parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _number(token: str) -> int:
+    """argparse type of the numeric options: the integer rule of the file formats."""
+    try:
+        return parse_int(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _usage_error(message: str) -> int:
@@ -212,6 +220,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is None and args.r is not None:
         return _usage_error("-r needs -g")
     if args.graph is not None:
+        for flag, value in (("--seed", args.seed), ("--profile", args.profile)):
+            if value is not None:
+                return _usage_error(f"{flag} cannot be used with -g")
         g = _load(parse_graph, args.graph)
         report = verify_representation(g, args.r if args.r is not None else 1)
         lines = [
@@ -225,7 +236,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
     from .verification import run_verification_suite
 
-    suite = run_verification_suite(seed=args.seed, profile=args.profile)
+    suite = run_verification_suite(
+        seed=2024 if args.seed is None else args.seed,
+        profile=args.profile or "quick",
+    )
     _emit(
         {"command": "verify", **suite.to_dict()},
         args.json,
@@ -258,39 +272,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("splits", cmd_splits, "enumerate all r-splits as a closed family", json_flag=False)
     p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
     p.add_argument("-o", "--output", help="write here instead of stdout")
 
     p = add("connected", cmd_connected, "test r-rank connectivity (exit 0/1)")
     p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
 
     p = add("essential", cmd_essential, "essential members of the r-split family", json_flag=False)
     p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
     p.add_argument("-o", "--output")
 
     p = add("closure", cmd_closure, "close a family under the rules (K2 optional)", json_flag=False)
     p.add_argument("-H", "--hypergraph", required=True, help="hypergraph file")
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
     p.add_argument("--degenerate", action="store_true", help="complement rule only, no unions")
     p.add_argument("-o", "--output")
 
     p = add("member", cmd_member, "membership in a closed family (exit 0/1)")
     p.add_argument("-H", "--hypergraph", required=True, help="closed-hypergraph file")
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
     p.add_argument("-X", dest="set", required=True)
 
     p = add("ortho", cmd_ortho, "r-orthogonality of two vertex sets (exit 0/1)")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-n", type=_number, required=True)
+    p.add_argument("-r", type=_number, required=True)
     p.add_argument("-A", dest="set_a", required=True)
     p.add_argument("-B", dest="set_b", required=True)
     p.add_argument("--oracle", action="store_true", help="decide via pair closures, not the formula")
 
     p = add("crossfree", cmd_crossfree, "test whether a family is r-cross-free (exit 0/1)")
     p.add_argument("-H", "--hypergraph", required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
 
     p = add(
         "family",
@@ -299,19 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
         "value v of color c is vertex (c-1)*k + v + 1",
         json_flag=False,
     )
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
+    p.add_argument("-k", type=_number, required=True)
     p.add_argument("-o", "--output")
 
     p = add("bounds", cmd_bounds, "size bounds of a cross-free family and its closure")
     p.add_argument("-H", "--hypergraph", required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_number, required=True)
 
     p = add("verify", cmd_verify, "round-trip check for a graph, or the full property suite")
     p.add_argument("-g", "--graph", help="check reconstruction of this graph's r-splits")
-    p.add_argument("-r", type=int, help="rank parameter (default 1 with -g)")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--profile", choices=PROFILES, default="quick")
+    p.add_argument("-r", type=_number, help="rank parameter (default 1 with -g)")
+    p.add_argument("--seed", type=_number, help="suite seed (default 2024; not with -g)")
+    p.add_argument("--profile", choices=PROFILES, help="suite profile (default quick; not with -g)")
 
     return parser
 

@@ -99,7 +99,7 @@ class ClosedHypergraph(Frozen):
     def contains(self, a: VertexSet) -> bool:
         if a.n != self.n:
             raise ValueError(f"universe mismatch: {a.n} vs {self.n}")
-        size = len(a)
+        size = a.mask.bit_count()
         return size <= self.r or size >= self.n - self.r or a in self.middles
 
     @functools.cached_property
@@ -128,15 +128,15 @@ class ClosedHypergraph(Frozen):
         limit = limits.MAX_EXPLICIT_FAMILY
         if total > limit:
             raise ValueError(f"materialized family would have {total} members (limit {limit})")
+        n = self.n
         edges = set(self.middles)
-        vertices = range(1, self.n + 1)
-        for size in range(self.n + 1):
-            if size <= self.r or size >= self.n - self.r:
+        bits = [1 << i for i in range(n)]
+        for size in range(n + 1):
+            if size <= self.r or size >= n - self.r:
                 edges.update(
-                    VertexSet.of(self.n, combo)
-                    for combo in itertools.combinations(vertices, size)
+                    VertexSet(n, sum(combo)) for combo in itertools.combinations(bits, size)
                 )
-        return Hypergraph(self.n, frozenset(edges))
+        return Hypergraph(n, frozenset(edges))
 
 
 def middles_and_complements(n: int, r: int, masks: Iterable[int]) -> list[int]:

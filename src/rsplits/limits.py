@@ -44,12 +44,24 @@ def oracle_cap() -> int:
     return _env_override(DEFAULT_ORACLE_CAP)
 
 
+def parse_int(token: str) -> int:
+    """The integer a token spells: ASCII digits with an optional leading '-'.
+
+    Unlike int(), refuses '+', '_', whitespace and non-ASCII digits.  The
+    file formats, the command-line numbers and RSPLIT_MAX_N all use it.
+    """
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def _env_override(default: int) -> int:
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return default
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
     return max(value, default)

@@ -19,17 +19,22 @@ from .hypergraph import ClosedHypergraph, Hypergraph, equals, is_middle
 from .splits import essential_representation
 
 
-def _orthogonal(n: int, a: int, b: int, r: int) -> bool:
-    """The criterion of is_orthogonal on the masks of two sets over {1..n}."""
-    inter = (a & b).bit_count()
-    outside = n - (a | b).bit_count()
-    a_minus_b = (a & ~b).bit_count()
-    b_minus_a = (b & ~a).bit_count()
+def _orthogonal_sizes(n: int, size_a: int, size_b: int, inter: int, r: int) -> bool:
+    """The criterion of is_orthogonal on the sizes |A|, |B| and |A & B| of two
+    sets over {1..n}."""
+    outside = n - size_a - size_b + inter
+    a_minus_b = size_a - inter
+    b_minus_a = size_b - inter
     conjunct_1 = (inter < r or a_minus_b == 0 or b_minus_a == 0 or outside < r
                   or (inter == r and outside == r))
     conjunct_2 = (a_minus_b < r or inter == 0 or outside == 0 or b_minus_a < r
                   or (a_minus_b == r and b_minus_a == r))
     return conjunct_1 and conjunct_2
+
+
+def _orthogonal(n: int, a: int, b: int, r: int) -> bool:
+    """The criterion of is_orthogonal on the masks of two sets over {1..n}."""
+    return _orthogonal_sizes(n, a.bit_count(), b.bit_count(), (a & b).bit_count(), r)
 
 
 def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
@@ -58,10 +63,11 @@ def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, Verte
     edges = h.sorted_edges()
     if r < 0 and edges:
         raise ValueError("r must be >= 0")
-    masks = [edge.mask for edge in edges]
-    for i, a in enumerate(masks):
-        for j, b in enumerate(itertools.islice(masks, i, None), i):
-            if not _orthogonal(h.n, a, b, r):
+    n = h.n
+    sized = [(edge.mask, edge.mask.bit_count()) for edge in edges]
+    for i, (a, size_a) in enumerate(sized):
+        for j, (b, size_b) in enumerate(itertools.islice(sized, i, None), i):
+            if not _orthogonal_sizes(n, size_a, size_b, (a & b).bit_count(), r):
                 return (edges[i], edges[j])
     return None
 

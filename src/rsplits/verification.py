@@ -127,11 +127,11 @@ def _rank_connected_pool(rng: random.Random, r: int, count: int) -> list[Graph]:
 
 
 def _sorted_members(closed: ClosedHypergraph) -> list[VertexSet]:
-    explicit = bruteforce.explicit_members(closed)
-    return sorted(
-        (VertexSet.of(closed.n, sorted(m)) for m in explicit),
-        key=VertexSet.sort_key,
-    )
+    """The oracle's members in VertexSet.sort_key order: by size, then by
+    ascending vertex list."""
+    lists = sorted(sorted(m) for m in bruteforce.explicit_members(closed))
+    lists.sort(key=len)
+    return [VertexSet.of(closed.n, vertices) for vertices in lists]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyRes
         sets = [VertexSet(n, mask) for mask in range(1 << n)]
         for r in range(0, 4):
             empty = ClosedHypergraph(n, r, frozenset())
-            count = sum(1 for x in sets if empty.contains(x))
+            count = sum(map(empty.contains, sets))
             if count != trivial_closure_size(n, r):
                 return PropertyResult("trivial-closure-census", combos + 1, False, f"n={n} r={r}")
             if n > 2 * r:
@@ -373,7 +373,8 @@ def check_chain_union(rng: random.Random, trials: int) -> PropertyResult:
         members = _sorted_members(closed)
         chain = [members[rng.randrange(len(members))]]
         for _ in range(rng.randint(0, 3)):
-            linked = [m for m in members if len(m & chain[-1]) >= r]
+            last = chain[-1].mask
+            linked = [m for m in members if (m.mask & last).bit_count() >= r]
             if not linked:
                 break
             chain.append(linked[rng.randrange(len(linked))])

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rsplits import limits
 from rsplits.bitset import VertexSet, parse_int, rank_of_rows
 from rsplits.bruteforce import brute_rank
 
@@ -46,6 +48,29 @@ class TestVertexSet:
             VertexSet.of(4, [5])
         with pytest.raises(ValueError):
             VertexSet(4, 1 << 4)
+
+    def test_members_sort_key_and_str_match_a_per_vertex_definition(self):
+        for n in range(11):
+            for mask in range(1 << n):
+                a = VertexSet(n, mask)
+                members = tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+                assert a.members() == members
+                assert tuple(a) == members
+                assert a.sort_key() == (len(members), members)
+                assert str(a) == (",".join(str(v) for v in members) if members else "-")
+
+    def test_universe_messages(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^universe size must be >= 0, got -1$"):
+            VertexSet(-1, 0)
+        message = (r"^universe size 129 exceeds the configured budget \(128\); "
+                   r"raise rsplits.limits.MAX_UNIVERSE to allow it$")
+        with pytest.raises(ValueError, match=message):
+            VertexSet(129, 0)
+        monkeypatch.setattr(limits, "MAX_UNIVERSE", 200)
+        assert len(VertexSet.full(129)) == 129
+        monkeypatch.setattr(limits, "MAX_UNIVERSE", 4)
+        with pytest.raises(ValueError, match="universe size 5 exceeds the configured budget"):
+            VertexSet(5, 0)
 
     def test_parse_format_round_trip(self):
         assert str(VertexSet.parse(8, "1,3,7")) == "1,3,7"
@@ -93,6 +118,21 @@ class TestParseInt:
     def test_rejects_every_other_spelling(self, token):
         with pytest.raises(ValueError, match="invalid integer"):
             parse_int(token)
+
+
+class TestEnvOverride:
+    def test_decimal_value_raises_the_caps(self, monkeypatch):
+        monkeypatch.setenv("RSPLIT_MAX_N", "30")
+        assert limits.exhaustive_cap() == 30
+        assert limits.oracle_cap() == 30
+
+    @pytest.mark.parametrize("raw", ["3_0", "+30", "\uff13\uff10", "\u0663\u0660", " 30", "30.0", ""])
+    def test_takes_the_integer_rule_of_the_file_formats(self, monkeypatch, raw):
+        monkeypatch.setenv("RSPLIT_MAX_N", raw)
+        message = re.escape(f"RSPLIT_MAX_N must be an integer, got {raw!r}")
+        for cap in (limits.exhaustive_cap, limits.oracle_cap):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cap()
 
 
 def _matrices(max_dim=7):

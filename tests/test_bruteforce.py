@@ -1,17 +1,27 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import rsplits.graph
 from conftest import seeded_graphs
 from rsplits.bitset import VertexSet
-from rsplits.bruteforce import brute_closure, brute_cut_rank, brute_rank, brute_splits
+from rsplits.bruteforce import (
+    brute_closure,
+    brute_cut_rank,
+    brute_rank,
+    brute_splits,
+    explicit_members,
+)
 from rsplits.hypergraph import Hypergraph
 from rsplits.limits import TooLargeError
 from rsplits.verification import (
+    _sorted_members,
     _split_pairs,
     check_submodularity,
     property_rng,
+    random_closed_family,
     run_verification_suite,
 )
 
@@ -127,3 +137,14 @@ class TestVerificationSuite:
             ]
             naive = [(x, y) for i, x in enumerate(splits) for y in splits[i:] if len(x & y) >= r]
             assert _split_pairs(g, r) == naive, (r, g.edges())
+
+    def test_sorted_members_in_sort_key_order(self):
+        rng = random.Random(61)
+        for _ in range(80):
+            n = rng.randint(1, 9)
+            closed = random_closed_family(rng, n, rng.randint(0, 3))
+            expected = sorted(
+                (VertexSet.of(n, sorted(m)) for m in explicit_members(closed)),
+                key=VertexSet.sort_key,
+            )
+            assert _sorted_members(closed) == expected

@@ -228,6 +228,25 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: -r needs -g\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "5"], "--seed cannot be used with -g"),
+            (["--profile", "full"], "--profile cannot be used with -g"),
+            (["--seed", "5", "--profile", "quick"], "--seed cannot be used with -g"),
+        ],
+    )
+    def test_suite_flags_with_graph_are_usage_errors(self, c4_file, capsys, flags, message):
+        assert main(["verify", "-g", c4_file] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_suite_mode_defaults(self, capsys):
+        assert main(["verify", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["seed"], payload["profile"]) == (2024, "quick")
+
     def test_suite_mode_json(self, capsys):
         assert main(["verify", "--seed", "3", "--profile", "quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -318,3 +337,33 @@ class TestGraphNumberSpellings:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
+
+
+class TestCommandLineNumbers:
+    @pytest.mark.parametrize(
+        "argv, flag, token",
+        [
+            (["family", "-r", "\u0662", "-k", "2"], "-r", "\u0662"),
+            (["family", "-r", "2", "-k", "1_0"], "-k", "1_0"),
+            (["ortho", "-n", "\uff13", "-r", "1", "-A", "1", "-B", "2"], "-n", "\uff13"),
+            (["ortho", "-n", "3", "-r", "+1", "-A", "1", "-B", "2"], "-r", "+1"),
+            (["verify", "--seed", "+5"], "--seed", "+5"),
+            (["verify", "--seed", "0x5"], "--seed", "0x5"),
+        ],
+    )
+    def test_numbers_follow_the_file_formats_rule(self, capsys, argv, flag, token):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer {token!r}" in capsys.readouterr().err
+
+    def test_ascii_decimal_numbers_are_taken(self, capsys):
+        assert main(["ortho", "-n", "03", "-r", "1", "-A", "1", "-B", "1,2"]) == 0
+        assert capsys.readouterr().out == "orthogonal\n"
+
+    def test_env_cap_follows_the_same_rule(self, c4_file, capsys, monkeypatch):
+        monkeypatch.setenv("RSPLIT_MAX_N", "3_0")
+        assert main(["connected", "-g", c4_file, "-r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RSPLIT_MAX_N must be an integer, got '3_0'\n"

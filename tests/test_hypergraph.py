@@ -8,6 +8,7 @@ import pytest
 from conftest import SIX_MIDDLES
 from rsplits import limits
 from rsplits.bitset import VertexSet
+from rsplits.bruteforce import explicit_members
 from rsplits.closure import close_full
 from rsplits.hypergraph import (
     ClosedHypergraph,
@@ -22,6 +23,7 @@ from rsplits.hypergraph import (
     parse_hypergraph,
     trivial_closure_size,
 )
+from rsplits.verification import random_closed_family
 
 
 def closed_from_tuples(n, r, middles):
@@ -148,6 +150,19 @@ class TestMaterialize:
     def test_includes_the_implicit_part(self, two_edge_closure):
         explicit = two_edge_closure.materialize()
         assert len(explicit) == two_edge_closure.member_count()
+
+    def test_matches_the_oracle_on_seeded_closed_families(self):
+        rng = random.Random(23)
+        for _ in range(120):
+            n = rng.randint(1, 9)
+            r = rng.randint(0, 3)
+            closed = random_closed_family(rng, n, r)
+            edges = closed.materialize().edges
+            vertex_sets = {
+                frozenset(v for v in range(1, n + 1) if a.mask >> (v - 1) & 1) for a in edges
+            }
+            assert len(edges) == closed.member_count()
+            assert vertex_sets == explicit_members(closed), (n, r)
 
     def test_limit_is_inclusive(self, monkeypatch, two_edge_closure):
         total = two_edge_closure.member_count()

@@ -159,6 +159,25 @@ class TestCrossFree:
                 )
                 assert find_crossing_pair(h, 2) == expected, (edge, v)
 
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_first_pair_matches_a_pairwise_scan_with_is_orthogonal(self, r):
+        rng = random.Random(37 + r)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5)))
+            h = Hypergraph(n, edges)
+            ordered = h.sorted_edges()
+            expected = next(
+                ((a, b) for i, a in enumerate(ordered) for b in ordered[i:]
+                 if not is_orthogonal(a, b, r)),
+                None,
+            )
+            assert find_crossing_pair(h, r) == expected, (n, r, [str(e) for e in ordered])
+            outcomes.add(expected is None)
+        # At r = 3 a crossing pair needs n >= 9, so every family here is cross-free.
+        assert outcomes == ({True, False} if r < 3 else {True})
+
     def test_negative_rank_rejected_once_a_pair_is_checked(self):
         assert find_crossing_pair(Hypergraph(4, frozenset()), -1) is None
         with pytest.raises(ValueError, match="r must be >= 0"):
