@@ -37,13 +37,11 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
                     seen.add(co_union)
                     order.append(union)
                     order.append(co_union)
-    return ClosedHypergraph(n, r, frozenset(VertexSet(n, mask) for mask in order))
+    return closed_from_masks(n, r, order)
 
 
 def close_degenerate(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Least family containing h that is closed under K0 and K1 only."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
     return closed_from_masks(h.n, r, (edge.mask for edge in h.edges))
 
 
@@ -57,11 +55,10 @@ def check_derived_rules(h: ClosedHypergraph) -> list[str]:
     """
     n, r = h.n, h.r
     middles = [(a, a.mask) for a in h.sorted_middles()]
-    masks = {x for _, x in middles}
 
     def missing(x: int) -> bool:
         size = x.bit_count()
-        return r < size < n - r and x not in masks
+        return r < size < n - r and x not in h.masks
 
     violations = []
     for i, (sa, a) in enumerate(middles):

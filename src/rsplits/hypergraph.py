@@ -69,50 +69,59 @@ class ClosedHypergraph(Frozen):
     """Canonical r-closed family: explicit middles, implicit trivial part."""
 
     _fields = ("n", "r", "middles")
-    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached _half_size_meets
+    __slots__ = ("n", "r", "masks", "__dict__")  # __dict__ caches middles and _half_size_meets
     n: int
     r: int
-    middles: frozenset[VertexSet]
+    masks: frozenset[int]
 
     def __init__(self, n: int, r: int, middles: frozenset[VertexSet]) -> None:
+        for a in middles:
+            if a.n != n:
+                raise ValueError(f"middle over universe {a.n} in family over {n}")
+        self.__dict__["middles"] = middles
+        self._set(n, r, frozenset(a.mask for a in middles))
+
+    def _set(self, n: int, r: int, masks: frozenset[int]) -> None:
         _setattr(self, "n", n)
         _setattr(self, "r", r)
-        _setattr(self, "middles", middles)
+        _setattr(self, "masks", masks)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
         if self.r < 0:
             raise ValueError("r must be >= 0")
-        n, r = self.n, self.r
+        n, r, masks = self.n, self.r, self.masks
         full = (1 << n) - 1
-        masks = {a.mask for a in self.middles if a.n == n}
-        for a in self.middles:
-            if a.n != n:
-                raise ValueError(f"middle over universe {a.n} in family over {n}")
-            size = a.mask.bit_count()
+        for x in masks:
+            size = x.bit_count()
             if not r < size < n - r:
-                raise ValueError(f"{a} has size {size}, outside the middle zone")
-            if a.mask ^ full not in masks:
-                raise NotClosedError(f"not complement closed ({a})")
+                raise ValueError(f"{VertexSet(n, x)} has size {size}, outside the middle zone")
+            if x ^ full not in masks:
+                raise NotClosedError(f"not complement closed ({VertexSet(n, x)})")
+
+    @functools.cached_property
+    def middles(self) -> frozenset[VertexSet]:
+        """The middles as VertexSets, built from the int masks `masks` on first use."""
+        return frozenset(VertexSet(self.n, x) for x in self.masks)
 
     def contains(self, a: VertexSet) -> bool:
         if a.n != self.n:
             raise ValueError(f"universe mismatch: {a.n} vs {self.n}")
         size = a.mask.bit_count()
-        return size <= self.r or size >= self.n - self.r or a in self.middles
+        return size <= self.r or size >= self.n - self.r or a.mask in self.masks
 
     @functools.cached_property
     def _half_size_meets(self) -> dict[int, int]:
         """For phi: each (r+1)-set's mask mapped to the meet of the middles of
         size <= n/2 containing it, built once in sum-of-C(|A|, r+1) steps."""
         meets: dict[int, int] = {}
-        for a in self.middles:
-            if 2 * len(a) <= self.n:
-                bits = [1 << (v - 1) for v in a.members()]
+        for a in self.masks:
+            if 2 * a.bit_count() <= self.n:
+                bits = [1 << i for i in range(self.n) if a >> i & 1]
                 for combo in itertools.combinations(bits, self.r + 1):
                     x = sum(combo)
-                    meets[x] = meets.get(x, a.mask) & a.mask
+                    meets[x] = meets.get(x, a) & a
         return meets
 
     def sorted_middles(self) -> list[VertexSet]:
@@ -120,7 +129,7 @@ class ClosedHypergraph(Frozen):
 
     def member_count(self) -> int:
         """Total family size, implicit part included."""
-        return trivial_closure_size(self.n, self.r) + len(self.middles)
+        return trivial_closure_size(self.n, self.r) + len(self.masks)
 
     def materialize(self) -> Hypergraph:
         """Expand to an explicit family, implicit members included."""
@@ -149,15 +158,16 @@ def middles_and_complements(n: int, r: int, masks: Iterable[int]) -> list[int]:
 
 def closed_from_masks(n: int, r: int, masks: Iterable[int]) -> ClosedHypergraph:
     """Least family containing the masks over {1..n} closed under K0 and K1."""
-    middles = middles_and_complements(n, r, masks)
-    return ClosedHypergraph(n, r, frozenset(VertexSet(n, mask) for mask in middles))
+    closed = ClosedHypergraph.__new__(ClosedHypergraph)
+    closed._set(n, r, frozenset(middles_and_complements(n, r, masks)))
+    return closed
 
 
 def equals(h1: ClosedHypergraph, h2: ClosedHypergraph) -> bool:
     """Equality of closed families; comparing across (n, r) is a usage error."""
     if (h1.n, h1.r) != (h2.n, h2.r):
         raise ValueError(f"cannot compare families over (n={h1.n}, r={h1.r}) and (n={h2.n}, r={h2.r})")
-    return h1.middles == h2.middles
+    return h1.masks == h2.masks
 
 
 def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
@@ -180,12 +190,11 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
     closed = ClosedHypergraph(n, r, middles)  # raises on a missing complement (K1)
     middle_list = closed.sorted_middles()
     order = [a.mask for a in middle_list]
-    masks = set(order)
     for i, a in enumerate(order):
         for j, b in enumerate(itertools.islice(order, i + 1, None), i + 1):
             if (a & b).bit_count() >= r:
                 union = a | b
-                if union.bit_count() < n - r and union not in masks:
+                if union.bit_count() < n - r and union not in closed.masks:
                     raise NotClosedError(f"K2 violated by ({middle_list[i]}, {middle_list[j]})")
     return closed
 

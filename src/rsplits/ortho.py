@@ -111,7 +111,7 @@ def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
     """Check both size laws for a cross-free family with exact arithmetic."""
     closed = cross_free_closure(h, r)
     middle_edges = sum(1 for edge in h.edges if is_middle(h.n, r, edge))
-    closure_middles = len(closed.middles)
+    closure_middles = len(closed.masks)
     closure_total = closed.member_count()
     closure_cap = 2 * (r + 1) * h.n**r + 2 * len(h.edges)
     return CrossFreeBoundsReport(
@@ -222,7 +222,7 @@ def verify_lower_bound(p: FamilyParams) -> LowerBoundReport:
         k=p.k,
         n=p.n,
         family_size=len(family),
-        closure_middles=len(closed.middles),
+        closure_middles=len(closed.masks),
         essential_count=len(essential),
         closure_matches=equals(rebuilt, closed),
         inequality_holds=2 * len(essential) >= len(family),

@@ -8,7 +8,6 @@ at most n/2 containing it, when one exists, and close the image.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -68,25 +67,20 @@ def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
         raise ValueError(f"universe mismatch: {x.n} vs {h.n}")
     if len(x) != h.r + 1:
         raise ValueError(f"phi takes a set of exactly {h.r + 1} vertices, got {len(x)}")
-    meet_mask = h._half_size_meets.get(x.mask)
-    if meet_mask is None:
+    meet = h._half_size_meets.get(x.mask)
+    if meet is None:
         return None
-    meet = VertexSet(h.n, meet_mask)
-    if meet not in h.middles:
-        raise NotClosedError(
-            f"input not r-closed: intersection {meet} of the members covering {x} is not a member"
-        )
-    return meet
+    if meet not in h.masks:
+        raise NotClosedError(f"input not r-closed: intersection {VertexSet(h.n, meet)} "
+                             f"of the members covering {x} is not a member")
+    return VertexSet(h.n, meet)
 
 
 def essential_representation(h: ClosedHypergraph) -> Hypergraph:
-    """The deduplicated image of phi over all (r+1)-subsets of {1..n}."""
-    edges = set()
-    for combo in itertools.combinations(range(1, h.n + 1), h.r + 1):
-        a = phi(h, VertexSet.of(h.n, combo))
-        if a is not None:
-            edges.add(a)
-    return Hypergraph(h.n, frozenset(edges))
+    """The deduplicated image of phi over all (r+1)-subsets of {1..n}.  Only the
+    sets in phi's index have an image; they are visited in lexicographic order."""
+    covered = sorted(h._half_size_meets, key=lambda x: [i for i in range(h.n) if x >> i & 1])
+    return Hypergraph(h.n, frozenset(phi(h, VertexSet(h.n, x)) for x in covered))
 
 
 class RoundTripReport(NamedTuple):
@@ -120,7 +114,7 @@ def verify_representation(g: Graph, r: int) -> RoundTripReport:
     return RoundTripReport(
         n=g.n,
         r=r,
-        middle_count=len(family.middles),
+        middle_count=len(family.masks),
         essential_count=len(essential),
         essential_bound=math.comb(g.n, r + 1),
         closure_matches=equals(rebuilt, family),

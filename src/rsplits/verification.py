@@ -314,13 +314,13 @@ def check_closure_operator_laws(rng: random.Random, trials: int) -> PropertyResu
         extra = random_vertex_set(rng, n)
         wider = Hypergraph(n, h.edges | {extra})
         wider_closed = closure_mod.close_full(wider, r)
-        if not closed.middles <= wider_closed.middles:
+        if not closed.masks <= wider_closed.masks:
             return PropertyResult("closure-monotone", t + 1, False, f"n={n} r={r} extra={extra}")
         again = closure_mod.close_full(closed.materialize(), r)
         if not equals(again, closed):
             return PropertyResult("closure-idempotent", t + 1, False, f"n={n} r={r}")
         degenerate = closure_mod.close_degenerate(h, r)
-        if not degenerate.middles <= closed.middles:
+        if not degenerate.masks <= closed.masks:
             return PropertyResult("degenerate-below-full", t + 1, False, f"n={n} r={r}")
     return PropertyResult("closure-operator-laws", trials, True)
 
@@ -488,9 +488,9 @@ def check_singleton_closure(rng: random.Random, trials: int) -> PropertyResult:
         r = rng.randint(0, 3)
         a = random_vertex_set(rng, n)
         closed = closure_mod.close_full(Hypergraph(n, frozenset({a})), r)
-        if not closed.middles <= {a, a.complement()}:
+        if not closed.masks <= {a.mask, a.complement().mask}:
             return PropertyResult(
-                "singleton-closure", t + 1, False, f"n={n} r={r} A={a} middles={len(closed.middles)}"
+                "singleton-closure", t + 1, False, f"n={n} r={r} A={a} middles={len(closed.masks)}"
             )
     return PropertyResult("singleton-closure", trials, True)
 
@@ -502,10 +502,10 @@ def check_pair_closure_union(rng: random.Random, trials: int) -> PropertyResult:
         a, b = _random_pair(rng, n)
         joint = closure_mod.close_full(Hypergraph(n, frozenset({a, b})), r)
         solo_union = (
-            closure_mod.close_full(Hypergraph(n, frozenset({a})), r).middles
-            | closure_mod.close_full(Hypergraph(n, frozenset({b})), r).middles
+            closure_mod.close_full(Hypergraph(n, frozenset({a})), r).masks
+            | closure_mod.close_full(Hypergraph(n, frozenset({b})), r).masks
         )
-        union_equality = joint.middles == solo_union
+        union_equality = joint.masks == solo_union
         if union_equality != ortho_mod.is_orthogonal(a, b, r):
             return PropertyResult(
                 "pair-closure-union", t + 1, False, f"n={n} r={r} A={a} B={b}"
