@@ -117,6 +117,7 @@ class VertexSet(Frozen):
     @classmethod
     def parse(cls, n: int, text: str) -> VertexSet:
         """Parse the textual form: comma-separated ascending integers, `-` for the empty set."""
+        _check_universe(n)  # before parsing, so a universe error does not blame the set
         text = text.strip()
         if text == "-":
             return cls.empty(n)

@@ -78,7 +78,7 @@ class ClosedHypergraph(Frozen):
         for a in middles:
             if a.n != n:
                 raise ValueError(f"middle over universe {a.n} in family over {n}")
-        self.__dict__["middles"] = middles
+        self.__dict__["middles"] = middles  # seeds the cached view
         self._set(n, r, frozenset(a.mask for a in middles))
 
     def _set(self, n: int, r: int, masks: frozenset[int]) -> None:
@@ -136,7 +136,9 @@ class ClosedHypergraph(Frozen):
         total = self.member_count()
         limit = limits.MAX_EXPLICIT_FAMILY
         if total > limit:
-            raise ValueError(f"materialized family would have {total} members (limit {limit})")
+            raise limits.TooLargeError(
+                f"materialized family would have {total} members (limit {limit})"
+            )
         n = self.n
         edges = set(self.middles)
         bits = [1 << i for i in range(n)]
@@ -201,9 +203,10 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
 
 HYPERGRAPH_FORMAT_HELP = (
     "lines starting with '#' are comments; first data line 'n'; then one "
-    "hyperedge per line as comma-separated ascending vertices ('-' for the "
-    "empty set).  Closed families add a second data line 'r <value>', list "
-    "middles only, and end with the marker line 'implicit cl-empty'."
+    "hyperedge per line, each at most once, as comma-separated ascending "
+    "vertices ('-' for the empty set).  Closed families add a second data "
+    "line 'r <value>', list middles only, and end with the marker line "
+    "'implicit cl-empty'."
 )
 
 _IMPLICIT_MARKER = "implicit cl-empty"
@@ -222,13 +225,18 @@ def _parse_universe(k: int, line: str) -> int:
 
 
 def _parse_sets(n: int, data: list[tuple[int, str]]) -> list[VertexSet]:
-    sets = []
+    first_line: dict[VertexSet, int] = {}
     for k, line in data:
         try:
-            sets.append(VertexSet.parse(n, line))
+            a = VertexSet.parse(n, line)
         except ValueError as exc:
             raise ValueError(f"line {k}: {exc}") from None
-    return sets
+        if a in first_line:
+            raise ValueError(
+                f"line {k}: duplicate vertex set {line!r} (first on line {first_line[a]})"
+            )
+        first_line[a] = k
+    return list(first_line)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -268,6 +276,12 @@ def parse_closed(text: str) -> ClosedHypergraph:
     for (k, line), a in zip(body, middles):
         if not is_middle(n, r, a):
             raise ValueError(f"line {k}: {line!r} has size {len(a)}, outside the middle zone")
+    masks = {a.mask for a in middles}
+    for (k, line), a in zip(body, middles):
+        if a.complement().mask not in masks:
+            raise NotClosedError(
+                f"line {k}: {line!r} has no complement '{a.complement()}' in the file"
+            )
     return ClosedHypergraph(n, r, frozenset(middles))
 
 

@@ -66,6 +66,8 @@ class TestVertexSet:
                    r"raise rsplits.limits.MAX_UNIVERSE to allow it$")
         with pytest.raises(ValueError, match=message):
             VertexSet(129, 0)
+        with pytest.raises(ValueError, match=message):
+            VertexSet.parse(129, "1")
         monkeypatch.setattr(limits, "MAX_UNIVERSE", 200)
         assert len(VertexSet.full(129)) == 129
         monkeypatch.setattr(limits, "MAX_UNIVERSE", 4)

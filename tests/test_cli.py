@@ -117,6 +117,13 @@ class TestOrtho:
         assert payload["orthogonal"] is False
         assert payload["mode"] == "formula"
 
+    def test_universe_error_does_not_blame_a_set(self, capsys):
+        assert main(["ortho", "-n", "129", "-r", "1", "-A", "1", "-B", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: universe size 129 exceeds the configured budget (128); "
+            "raise rsplits.limits.MAX_UNIVERSE to allow it\n"
+        )
+
 
 class TestCrossfree:
     def test_cross_free_family(self, tmp_path, capsys):
@@ -309,6 +316,12 @@ class TestHypergraphParseErrors:
             (["closure", "-r", "1"], "4\n+1, 2\n", "line 2: bad vertex set '+1, 2'"),
             (["member", "-r", "1", "-X", "1,3"], "4\nr \u0661\n1,3\n2,4\n",
              "line 2: bad rank header 'r \u0661', expected 'r <value>'"),
+            (["bounds", "-r", "1"], "4\n1,2\n# again\n1,2\n",
+             "line 4: duplicate vertex set '1,2' (first on line 2)"),
+            (["member", "-r", "1", "-X", "1,3"], "4\nr 1\n1,3\n2,4\n1,3\n",
+             "line 5: duplicate vertex set '1,3' (first on line 3)"),
+            (["member", "-r", "1", "-X", "1,3"], "4\nr 1\n1,3\n",
+             "line 3: '1,3' has no complement '2,4' in the file"),
         ],
     )
     def test_exit_2_with_one_line_naming_the_line(self, tmp_path, capsys, argv, text, message):

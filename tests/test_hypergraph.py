@@ -178,7 +178,7 @@ class TestMaterialize:
         limit = limits.MAX_EXPLICIT_FAMILY
         assert total > limit
         message = rf"^materialized family would have {total} members \(limit {limit}\)$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(limits.TooLargeError, match=message):
             family.materialize()
 
 
@@ -246,6 +246,8 @@ class TestParseErrorsNameTheLine:
             ("\u0664\n1,2\n", "line 1: bad universe line '\u0664', expected 'n'"),
             ("4\n+1, 2\n", "line 2: bad vertex set '+1, 2'"),
             ("4\n1,\u0662\n", "line 2: bad vertex set '1,\u0662'"),
+            ("4\n1,2\n# again\n1,2\n", "line 4: duplicate vertex set '1,2' (first on line 2)"),
+            ("4\n-\n3\n-\n", "line 4: duplicate vertex set '-' (first on line 2)"),
         ],
     )
     def test_hypergraph(self, text, message):
@@ -266,6 +268,8 @@ class TestParseErrorsNameTheLine:
             ("4\nr 1\n1,+3\n", "line 3: bad vertex set '1,+3'"),
             ("4\nr 1\n1,3\n2,x\n", "line 4: bad vertex set '2,x'"),
             ("4\nr 1\n1,3\n1\n", "line 4: '1' has size 1, outside the middle zone"),
+            ("4\nr 1\n1,3\n2,4\n1,3\n", "line 5: duplicate vertex set '1,3' (first on line 3)"),
+            ("6\nr 1\n1,2\n3,4,5,6\n2,3\n", "line 5: '2,3' has no complement '1,4,5,6' in the file"),
         ],
     )
     def test_closed(self, text, message):
@@ -274,7 +278,7 @@ class TestParseErrorsNameTheLine:
         assert str(exc.value) == message
 
     def test_family_level_errors_keep_their_messages(self):
-        with pytest.raises(NotClosedError, match=r"^not complement closed \(1,3\)$"):
+        with pytest.raises(NotClosedError, match=r"^line 3: '1,3' has no complement '2,4' in the file$"):
             parse_closed("4\nr 1\n1,3\n")
 
 
