@@ -68,7 +68,7 @@ def trivial_closure_size(n: int, r: int) -> int:
 class ClosedHypergraph(Frozen):
     """Canonical r-closed family: explicit middles, implicit trivial part."""
 
-    _fields = ("n", "r", "middles")
+    _fields = ("n", "r", "middles")  # the constructor's arguments: repr, equality, pickling
     __slots__ = ("n", "r", "masks", "__dict__")  # __dict__ caches middles and _half_size_meets
     n: int
     r: int

@@ -9,7 +9,7 @@ import pytest
 from conftest import all_graphs, seeded_graphs
 from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_splits, explicit_members
-from rsplits.closure import close_full
+from rsplits.closure import close_degenerate, close_full
 from rsplits.graph import Graph, is_r_rank_connected
 from rsplits.hypergraph import Hypergraph, NotClosedError, equals
 from rsplits.limits import TooLargeError
@@ -135,6 +135,13 @@ class TestPhi:
             essential_representation(ClosedHypergraph(9, 1, middles))
         assert str(exc.value) == (
             "input not r-closed: intersection 1,3 of the members covering 1,3 is not a member"
+        )
+        # {2,5} and {3,4} both fail; {2,5} comes first although its mask is the larger.
+        degenerate = close_degenerate(Hypergraph.of_vertex_lists(6, [(1, 2, 5), (1, 3, 4)]), 1)
+        with pytest.raises(NotClosedError) as exc:
+            essential_representation(degenerate)
+        assert str(exc.value) == (
+            "input not r-closed: intersection 2,5 of the members covering 2,5 is not a member"
         )
 
 
