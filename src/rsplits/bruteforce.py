@@ -1,8 +1,11 @@
 """Brute-force reference implementations, kept deliberately naive.
 
-Everything here works on explicit Python sets of frozensets (vertex
-labels, not bit masks) and dense 0/1 row lists, sharing no code with the
-packed-int engines it cross-checks.  Speed is a non-goal.
+Naive here means literal: everything works on explicit Python sets of
+frozensets (vertex labels, not bit masks) and dense 0/1 row lists, shares
+no code with the packed-int engines it cross-checks, and applies each rule
+as written over all 2^n subsets, trivial ones included, with no middle-zone
+filter.  Speed is a non-goal; the one saving taken is that the closure
+never retries a pair (see `brute_closure`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ def brute_closure(h: Hypergraph, r: int, use_rule_k2: bool = True) -> set[frozen
     Seeds the family with the input edges and every set of at most r
     vertices, then sweeps complements (K1) and, when enabled, pairwise
     unions with intersection at least r (K2) until a full round adds
-    nothing.
+    nothing.  A pair is never retried: each K2 sweep pairs the members new
+    since the last sweep with every member already paired and with each
+    other.  The family only grows, so the union of a pair tried in an
+    earlier sweep is still in it.
     """
     limits.check_cap(h.n, limits.oracle_cap(), "brute-force closure")
     universe = frozenset(range(1, h.n + 1))
@@ -29,6 +35,7 @@ def brute_closure(h: Hypergraph, r: int, use_rule_k2: bool = True) -> set[frozen
     for size in range(r + 1):
         for combo in itertools.combinations(sorted(universe), size):
             family.add(frozenset(combo))
+    paired: list[frozenset[int]] = []  # members already paired with one another
     changed = True
     while changed:
         changed = False
@@ -38,14 +45,14 @@ def brute_closure(h: Hypergraph, r: int, use_rule_k2: bool = True) -> set[frozen
                 family.add(comp)
                 changed = True
         if use_rule_k2:
-            snapshot = list(family)
-            for i, a in enumerate(snapshot):
-                for b in snapshot[i + 1:]:
+            for a in list(family.difference(paired)):
+                for b in paired:
                     if len(a & b) >= r:
                         union = a | b
                         if union not in family:
                             family.add(union)
                             changed = True
+                paired.append(a)
     return family
 
 

@@ -37,7 +37,7 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
                     seen.add(co_union)
                     order.append(union)
                     order.append(co_union)
-    return closed_from_masks(n, r, order)
+    return ClosedHypergraph._from_masks(n, r, frozenset(order))
 
 
 def close_degenerate(h: Hypergraph, r: int) -> ClosedHypergraph:

@@ -81,6 +81,14 @@ class ClosedHypergraph(Frozen):
         self.__dict__["middles"] = middles  # seeds the cached view
         self._set(n, r, frozenset(a.mask for a in middles))
 
+    @classmethod
+    def _from_masks(cls, n: int, r: int, masks: frozenset[int]) -> ClosedHypergraph:
+        """The family whose middles are `masks`, which must already be closed
+        under K0 and K1; validated like any other family."""
+        closed = cls.__new__(cls)
+        closed._set(n, r, masks)
+        return closed
+
     def _set(self, n: int, r: int, masks: frozenset[int]) -> None:
         _setattr(self, "n", n)
         _setattr(self, "r", r)
@@ -160,9 +168,7 @@ def middles_and_complements(n: int, r: int, masks: Iterable[int]) -> list[int]:
 
 def closed_from_masks(n: int, r: int, masks: Iterable[int]) -> ClosedHypergraph:
     """Least family containing the masks over {1..n} closed under K0 and K1."""
-    closed = ClosedHypergraph.__new__(ClosedHypergraph)
-    closed._set(n, r, frozenset(middles_and_complements(n, r, masks)))
-    return closed
+    return ClosedHypergraph._from_masks(n, r, frozenset(middles_and_complements(n, r, masks)))
 
 
 def equals(h1: ClosedHypergraph, h2: ClosedHypergraph) -> bool:

@@ -60,9 +60,9 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
 
 def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, VertexSet]]:
     """First non-orthogonal pair in canonical order, or None."""
-    edges = h.sorted_edges()
-    if r < 0 and edges:
+    if r < 0:
         raise ValueError("r must be >= 0")
+    edges = h.sorted_edges()
     n = h.n
     sized = [(edge.mask, edge.mask.bit_count()) for edge in edges]
     for i, (a, size_a) in enumerate(sized):

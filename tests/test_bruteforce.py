@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -68,6 +69,59 @@ class TestBruteClosure:
         monkeypatch.setenv("RSPLIT_MAX_N", "3")
         h = Hypergraph.of_vertex_lists(10, [[1, 2]])
         assert frozenset({1, 2}) in brute_closure(h, 1)
+
+
+def assert_closed_by_definition(h: Hypergraph, r: int, use_rule_k2: bool) -> None:
+    """brute_closure(h, r) read against the rules themselves, not its own loop:
+    it holds the edges and the sets of size <= r (K0), every complement (K1)
+    and, with K2 on, the union of every pair meeting in >= r vertices."""
+    family = brute_closure(h, r, use_rule_k2=use_rule_k2)
+    context = (h.n, r, use_rule_k2, sorted(str(edge) for edge in h.edges))
+    universe = frozenset(range(1, h.n + 1))
+    assert all(frozenset(edge.members()) in family for edge in h.edges), context
+    for size in range(min(r, h.n) + 1):
+        assert all(frozenset(c) in family for c in itertools.combinations(universe, size)), context
+    assert all(universe - a in family for a in family), context
+    if use_rule_k2:
+        for a, b in itertools.combinations(family, 2):
+            assert len(a & b) < r or a | b in family, (context, sorted(a), sorted(b))
+
+
+class TestBruteClosureByDefinition:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_all_families_of_at_most_two_edges(self, n):
+        sets = [VertexSet(n, mask) for mask in range(1 << n)]
+        for count in range(3):
+            for edges in itertools.combinations(sets, count):
+                h = Hypergraph(n, frozenset(edges))
+                for r in range(4):
+                    for use_rule_k2 in (True, False):
+                        assert_closed_by_definition(h, r, use_rule_k2)
+
+    def test_seeded_families_up_to_nine_vertices(self):
+        rng = random.Random(83)
+        for n in range(5, 10):
+            for _ in range(6):
+                edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 4)))
+                r = rng.randint(0, 3)
+                for use_rule_k2 in (True, False):
+                    assert_closed_by_definition(Hypergraph(n, edges), r, use_rule_k2)
+
+    def test_chain_needing_three_union_sweeps(self):
+        # {i, i+1} for i < 6 at r = 1: the first sweep adds the triples, the
+        # second {1..5} and {2..6}, and only the third their union {1..6}.
+        h = Hypergraph.of_vertex_lists(10, [[i, i + 1] for i in range(1, 6)])
+        family = brute_closure(h, 1)
+        assert frozenset(range(1, 7)) in family
+        assert frozenset(range(7, 11)) in family
+        assert_closed_by_definition(h, 1, True)
+
+    def test_round_that_only_adds_unions_is_not_the_last(self):
+        # The third round adds no complement, only unions such as {1,2,3,5};
+        # their complements ({4,6}, ...) come in the fourth.
+        h = Hypergraph.of_vertex_lists(6, [[1, 3, 4], [1, 3, 5, 6], [2, 3, 4, 6], [3, 6]])
+        assert frozenset({4, 6}) in brute_closure(h, 1)
+        assert_closed_by_definition(h, 1, True)
 
 
 class TestBruteRank:

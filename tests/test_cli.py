@@ -137,6 +137,15 @@ class TestCrossfree:
         assert main(["crossfree", "-H", str(hg), "-r", "1"]) == 1
         assert "1,2,3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["4\n", "4\n1,2\n"])
+    def test_negative_rank_is_usage_error(self, tmp_path, capsys, text):
+        hg = tmp_path / "h.hg"
+        hg.write_text(text)
+        assert main(["crossfree", "-H", str(hg), "-r", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r must be >= 0\n"
+
 
 class TestFamily:
     def test_nine_lines_first_is_147(self, capsys):

@@ -178,10 +178,10 @@ class TestCrossFree:
         # At r = 3 a crossing pair needs n >= 9, so every family here is cross-free.
         assert outcomes == ({True, False} if r < 3 else {True})
 
-    def test_negative_rank_rejected_once_a_pair_is_checked(self):
-        assert find_crossing_pair(Hypergraph(4, frozenset()), -1) is None
-        with pytest.raises(ValueError, match="r must be >= 0"):
-            find_crossing_pair(Hypergraph.of_vertex_lists(4, [[1, 2]]), -1)
+    def test_negative_rank_rejected_on_any_family(self):
+        for edges in ([], [[1, 2]]):
+            with pytest.raises(ValueError, match="r must be >= 0"):
+                find_crossing_pair(Hypergraph.of_vertex_lists(4, edges), -1)
 
     def test_empty_and_singleton_families(self):
         assert is_cross_free(Hypergraph(6, frozenset()), 1)
