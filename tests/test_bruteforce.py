@@ -111,9 +111,7 @@ class TestBruteClosureByDefinition:
         # {i, i+1} for i < 6 at r = 1: the first sweep adds the triples, the
         # second {1..5} and {2..6}, and only the third their union {1..6}.
         h = Hypergraph.of_vertex_lists(10, [[i, i + 1] for i in range(1, 6)])
-        family = brute_closure(h, 1)
-        assert frozenset(range(1, 7)) in family
-        assert frozenset(range(7, 11)) in family
+        assert frozenset(range(1, 7)) in brute_closure(h, 1)
         assert_closed_by_definition(h, 1, True)
 
     def test_round_that_only_adds_unions_is_not_the_last(self):
