@@ -39,6 +39,7 @@ _EXPORTS = {
         "CrossFreeBoundsReport",
         "FamilyParams",
         "LowerBoundReport",
+        "NotCrossFreeError",
         "build_family",
         "cross_free_closure",
         "crossfree_size_bounds",

@@ -105,6 +105,38 @@ def brute_splits(g: Graph, r: int) -> set[frozenset[int]]:
     return out
 
 
+def brute_rank_connected(g: Graph, r: int) -> bool:
+    """r-rank connectivity by its definition: no cut of rank below r is
+    nontrivial, that is, of rank below the size of its smaller side."""
+    limits.check_cap(g.n, limits.oracle_cap(), "brute-force rank connectivity")
+    for size in range(g.n + 1):
+        for combo in itertools.combinations(range(1, g.n + 1), size):
+            rank = brute_cut_rank(g, frozenset(combo))
+            if rank < r and rank != min(size, g.n - size):
+                return False
+    return True
+
+
+def brute_phi_image(members: set[frozenset[int]], n: int, r: int) -> set[frozenset[int]]:
+    """The image of phi by its definition, over an explicit closed family.
+
+    For each (r+1)-set x, phi(x) is the inclusion-minimum member of size at
+    most n/2 containing x: the intersection of all such members, which must
+    itself be a member (ValueError otherwise).  Sets with no such member
+    have no image.
+    """
+    image = set()
+    for combo in itertools.combinations(range(1, n + 1), r + 1):
+        x = frozenset(combo)
+        covers = [a for a in members if x <= a and 2 * len(a) <= n]
+        if covers:
+            meet = frozenset.intersection(*covers)
+            if meet not in members:
+                raise ValueError(f"no minimum member contains {sorted(x)}")
+            image.add(meet)
+    return image
+
+
 def brute_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
     """Orthogonality via its definition, on the brute-force closures."""
     pair = Hypergraph(a.n, frozenset({a, b}))

@@ -18,8 +18,9 @@ from typing import Optional
 
 from .bitset import VertexSet
 from .closure import close_degenerate, close_full
-from .graph import cut_rank, is_r_rank_connected, parse_graph
+from .graph import GRAPH_FORMAT_HELP, cut_rank, is_r_rank_connected, parse_graph
 from .hypergraph import (
+    HYPERGRAPH_FORMAT_HELP,
     ClosedHypergraph,
     format_closed,
     format_hypergraph,
@@ -191,17 +192,14 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    from .ortho import crossfree_size_bounds, find_crossing_pair
+    from .ortho import NotCrossFreeError, crossfree_size_bounds
 
     h = _load(parse_hypergraph, args.hypergraph)
-    crossing = find_crossing_pair(h, args.r)
-    if crossing is not None:
-        print(
-            f"error: input is not {args.r}-cross-free: {crossing[0]} and {crossing[1]} cross",
-            file=sys.stderr,
-        )
+    try:
+        report = crossfree_size_bounds(h, args.r)
+    except NotCrossFreeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = crossfree_size_bounds(h, args.r)
     lines = [
         f"middle edges        {report.middle_edges}",
         f"closure middles     {report.closure_middles}",
@@ -266,32 +264,40 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true", help="emit the result as one JSON object")
         return p
 
+    graph_help = f"graph file: {GRAPH_FORMAT_HELP}"
+    hypergraph_help = f"hypergraph file: {HYPERGRAPH_FORMAT_HELP}"
+
     p = add("rank", cmd_rank, "rank of the cut at a vertex set")
-    p.add_argument("-g", "--graph", required=True, help="graph file")
+    p.add_argument("-g", "--graph", required=True, help=graph_help)
     p.add_argument("-X", dest="set", required=True, help="vertex set, e.g. 1,3,7 ('-' for empty)")
 
     p = add("splits", cmd_splits, "enumerate all r-splits as a closed family", json_flag=False)
-    p.add_argument("-g", "--graph", required=True)
+    p.add_argument("-g", "--graph", required=True, help=graph_help)
     p.add_argument("-r", type=_number, required=True)
     p.add_argument("-o", "--output", help="write here instead of stdout")
 
     p = add("connected", cmd_connected, "test r-rank connectivity (exit 0/1)")
-    p.add_argument("-g", "--graph", required=True)
+    p.add_argument("-g", "--graph", required=True, help=graph_help)
     p.add_argument("-r", type=_number, required=True)
 
     p = add("essential", cmd_essential, "essential members of the r-split family", json_flag=False)
-    p.add_argument("-g", "--graph", required=True)
+    p.add_argument("-g", "--graph", required=True, help=graph_help)
     p.add_argument("-r", type=_number, required=True)
     p.add_argument("-o", "--output")
 
     p = add("closure", cmd_closure, "close a family under the rules (K2 optional)", json_flag=False)
-    p.add_argument("-H", "--hypergraph", required=True, help="hypergraph file")
+    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
     p.add_argument("-r", type=_number, required=True)
     p.add_argument("--degenerate", action="store_true", help="complement rule only, no unions")
     p.add_argument("-o", "--output")
 
-    p = add("member", cmd_member, "membership in a closed family (exit 0/1)")
-    p.add_argument("-H", "--hypergraph", required=True, help="closed-hypergraph file")
+    p = add(
+        "member",
+        cmd_member,
+        "membership in a closed family (exit 0/1); the file is trusted to be "
+        "closed under K2, which is not checked",
+    )
+    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
     p.add_argument("-r", type=_number, required=True)
     p.add_argument("-X", dest="set", required=True)
 
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="decide via pair closures, not the formula")
 
     p = add("crossfree", cmd_crossfree, "test whether a family is r-cross-free (exit 0/1)")
-    p.add_argument("-H", "--hypergraph", required=True)
+    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
     p.add_argument("-r", type=_number, required=True)
 
     p = add(
@@ -318,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
 
     p = add("bounds", cmd_bounds, "size bounds of a cross-free family and its closure")
-    p.add_argument("-H", "--hypergraph", required=True)
+    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
     p.add_argument("-r", type=_number, required=True)
 
     p = add("verify", cmd_verify, "round-trip check for a graph, or the full property suite")
-    p.add_argument("-g", "--graph", help="check reconstruction of this graph's r-splits")
+    p.add_argument(
+        "-g", "--graph", help=f"check reconstruction of this graph's r-splits; {graph_help}"
+    )
     p.add_argument("-r", type=_number, help="rank parameter (default 1 with -g)")
     p.add_argument("--seed", type=_number, help="suite seed (default 2024; not with -g)")
     p.add_argument("--profile", choices=PROFILES, help="suite profile (default quick; not with -g)")

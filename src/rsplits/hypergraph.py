@@ -211,8 +211,9 @@ HYPERGRAPH_FORMAT_HELP = (
     "lines starting with '#' are comments; first data line 'n'; then one "
     "hyperedge per line, each at most once, as comma-separated ascending "
     "vertices ('-' for the empty set).  Closed families add a second data "
-    "line 'r <value>', list middles only, and end with the marker line "
-    "'implicit cl-empty'."
+    "line 'r <value>', list middles only, each with its complement, and end "
+    "with the marker line 'implicit cl-empty'.  A closed file is trusted to "
+    "be closed under the union rule K2: loading it does not check that rule."
 )
 
 _IMPLICIT_MARKER = "implicit cl-empty"

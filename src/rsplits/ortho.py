@@ -32,11 +32,6 @@ def _orthogonal_sizes(n: int, size_a: int, size_b: int, inter: int, r: int) -> b
     return conjunct_1 and conjunct_2
 
 
-def _orthogonal(n: int, a: int, b: int, r: int) -> bool:
-    """The criterion of is_orthogonal on the masks of two sets over {1..n}."""
-    return _orthogonal_sizes(n, a.bit_count(), b.bit_count(), (a & b).bit_count(), r)
-
-
 def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
     """Orthogonality by the closed-form criterion: two conjuncts, each a
     five-way alternative over intersection, containment, complement-union
@@ -45,15 +40,16 @@ def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
     if r < 0:
         raise ValueError("r must be >= 0")
-    return _orthogonal(a.n, a.mask, b.mask, r)
+    x, y = a.mask, b.mask
+    return _orthogonal_sizes(a.n, x.bit_count(), y.bit_count(), (x & y).bit_count(), r)
 
 
 def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
     """Orthogonality by its definition: the pair closure with the union
-    rule equals the pair closure without it."""
+    rule equals the pair closure without it.  The closure never leaves the
+    16 sets that a and b generate, so its work does not grow with n."""
     if a.n != b.n:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
-    limits.check_cap(a.n, limits.exhaustive_cap(), "pair-closure orthogonality")
     pair = Hypergraph(a.n, frozenset({a, b}))
     return equals(close_full(pair, r), close_degenerate(pair, r))
 
@@ -77,12 +73,18 @@ def is_cross_free(h: Hypergraph, r: int) -> bool:
     return find_crossing_pair(h, r) is None
 
 
+class NotCrossFreeError(ValueError):
+    """The family is not r-cross-free, a hypothesis the computation needs."""
+
+
 def cross_free_closure(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Closure of a cross-free family, built directly: K2 adds nothing to
-    such a family, so its closure is its degenerate closure."""
+    such a family, so its closure is its degenerate closure.  Raises
+    NotCrossFreeError naming the first crossing pair."""
     crossing = find_crossing_pair(h, r)
     if crossing is not None:
-        raise ValueError(f"input is not {r}-cross-free: ({crossing[0]}, {crossing[1]}) cross")
+        a, b = crossing
+        raise NotCrossFreeError(f"input is not {r}-cross-free: {a} and {b} cross")
     return close_degenerate(h, r)
 
 
@@ -176,16 +178,11 @@ def build_family(p: FamilyParams) -> Hypergraph:
             f"family for r={p.r}, k={p.k} would have k^r = {count} edges "
             f"(limit {limits.MAX_EXPLICIT_FAMILY})"
         )
-    edges = []
-    values = [0] * (p.r + 1)
-    for index in range(count):
-        rem = index
-        for i in range(p.r):
-            values[i] = rem % p.k
-            rem //= p.k
-        values[p.r] = -sum(values[: p.r]) % p.k
-        edges.append(VertexSet.of(p.n, (p.vertex_id(v, c + 1) for c, v in enumerate(values))))
-    return Hypergraph(p.n, frozenset(edges))
+    edges = frozenset(
+        VertexSet.of(p.n, (p.vertex_id(v, c) for c, v in enumerate((*free, -sum(free) % p.k), 1)))
+        for free in itertools.product(range(p.k), repeat=p.r)
+    )
+    return Hypergraph(p.n, edges)
 
 
 class LowerBoundReport(NamedTuple):

@@ -566,9 +566,10 @@ def check_family_laws(rng: random.Random, trials: int) -> PropertyResult:
                     return PropertyResult(
                         "family-intersection-sharpness", checked + 1, False, f"r={r} k={k} A={a} B={b}"
                     )
-            if ortho_mod.find_crossing_pair(family, r) is not None:
+            try:
+                bounds = ortho_mod.crossfree_size_bounds(family, r)
+            except ortho_mod.NotCrossFreeError:
                 return PropertyResult("family-crossfree", checked + 1, False, f"r={r} k={k}")
-            bounds = ortho_mod.crossfree_size_bounds(family, r)
             if not bounds.passed:
                 return PropertyResult("crossfree-size-chain", checked + 1, False, f"r={r} k={k}")
             checked += 1

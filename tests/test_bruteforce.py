@@ -11,7 +11,9 @@ from rsplits.bitset import VertexSet
 from rsplits.bruteforce import (
     brute_closure,
     brute_cut_rank,
+    brute_phi_image,
     brute_rank,
+    brute_rank_connected,
     brute_splits,
     explicit_members,
 )
@@ -144,6 +146,39 @@ class TestBruteSplits:
         assert middles == {frozenset({1, 3}), frozenset({2, 4})}
         # all trivially small/large sides are splits
         assert all(frozenset(c) in splits for c in ([], [1], [2], [3], [4]))
+
+
+class TestBruteRankConnected:
+    def test_named_graphs(self, c4, c5, k33):
+        assert brute_rank_connected(c5, 2)
+        assert not brute_rank_connected(k33, 2)
+        assert brute_rank_connected(c4, 1)
+        assert not brute_rank_connected(c4, 2)   # {1,3} has rank 1 < 2
+
+    def test_r0_is_vacuous(self, k33):
+        assert brute_rank_connected(k33, 0)
+
+    def test_cap_enforced(self):
+        with pytest.raises(TooLargeError, match="brute-force rank connectivity"):
+            brute_rank_connected(rsplits.graph.Graph(15, (0,) * 15), 1)
+
+
+class TestBrutePhiImage:
+    def test_four_cycle(self, c4):
+        assert brute_phi_image(brute_splits(c4, 1), 4, 1) == {frozenset({1, 3}), frozenset({2, 4})}
+
+    def test_uncovered_sets_have_no_image(self):
+        # Only the trivial sets: nothing of size 2..3 covers a pair.
+        members = {
+            frozenset(c) for size in (0, 1, 5, 6) for c in itertools.combinations(range(1, 7), size)
+        }
+        assert brute_phi_image(members, 6, 1) == set()
+
+    def test_missing_minimum_is_refused(self):
+        # {1,2,3} and {1,2,4} both cover {1,2}; their meet {1,2} is no member.
+        members = {frozenset({1, 2, 3}), frozenset({1, 2, 4})}
+        with pytest.raises(ValueError, match=r"no minimum member contains \[1, 2\]"):
+            brute_phi_image(members, 6, 1)
 
 
 class TestVerificationSuite:

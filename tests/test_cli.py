@@ -6,8 +6,8 @@ import pytest
 
 from conftest import NINE_VERTEX_EDGES
 from rsplits.cli import main
-from rsplits.graph import format_graph, parse_graph
-from rsplits.hypergraph import equals, parse_closed, parse_hypergraph
+from rsplits.graph import GRAPH_FORMAT_HELP, format_graph, parse_graph
+from rsplits.hypergraph import HYPERGRAPH_FORMAT_HELP, equals, parse_closed, parse_hypergraph
 from rsplits.splits import enumerate_r_splits
 
 
@@ -23,6 +23,26 @@ def c4_file(tmp_path, c4):
     path = tmp_path / "c4.graph"
     path.write_text(format_graph(c4))
     return str(path)
+
+
+class TestFormatHelp:
+    @pytest.mark.parametrize(
+        "command, text",
+        [("splits", GRAPH_FORMAT_HELP), ("member", HYPERGRAPH_FORMAT_HELP)],
+        ids=["graph", "hypergraph"],
+    )
+    def test_file_option_help_states_the_format(self, monkeypatch, capsys, command, text):
+        monkeypatch.setenv("COLUMNS", "1000")   # no wrapping, so no split "cl-empty"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        assert " ".join(text.split()) in " ".join(capsys.readouterr().out.split())
+
+    def test_command_list_states_that_member_trusts_k2(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert "the file is trusted to be closed under K2" in capsys.readouterr().out
 
 
 class TestRank:

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from conftest import all_graphs, seeded_graphs
 from rsplits.bitset import VertexSet
-from rsplits.bruteforce import brute_cut_rank
+from rsplits.bruteforce import brute_cut_rank, brute_rank_connected
 from rsplits.graph import (
     Graph,
     cut_rank,
@@ -65,28 +64,18 @@ class TestSplitPredicates:
         assert is_trivial_cut(nine_vertex_graph, VertexSet.empty(9))
 
 
-def connected_by_definition(g: Graph, r: int) -> bool:
-    """No cut of rank below r is nontrivial, with every rank from the oracle."""
-    for size in range(g.n + 1):
-        for side in itertools.combinations(range(1, g.n + 1), size):
-            rank = brute_cut_rank(g, frozenset(side))
-            if rank < r and rank != min(size, g.n - size):
-                return False
-    return True
-
-
 class TestRankConnectivity:
     def test_all_small_graphs_match_definition(self):
         for g in all_graphs(5):
             for r in range(4):
-                assert is_r_rank_connected(g, r) == connected_by_definition(g, r), (g, r)
+                assert is_r_rank_connected(g, r) == brute_rank_connected(g, r), (g, r)
 
     def test_seeded_graphs_up_to_twelve_vertices_match_definition(self):
         verdicts = set()
         for g in seeded_graphs(59, range(6, 13), 2):
             for r in range(1, 4):
                 verdict = is_r_rank_connected(g, r)
-                assert verdict == connected_by_definition(g, r), (g, r)
+                assert verdict == brute_rank_connected(g, r), (g, r)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+import rsplits.ortho
 from rsplits import limits
 from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_orthogonal
+from rsplits.cli import main
 from rsplits.closure import close_full
 from rsplits.hypergraph import Hypergraph, equals
 from rsplits.limits import TooLargeError
 from rsplits.ortho import (
     FamilyParams,
+    NotCrossFreeError,
     build_family,
     cross_free_closure,
     crossfree_size_bounds,
@@ -21,10 +24,24 @@ from rsplits.ortho import (
     is_orthogonal_oracle,
     verify_lower_bound,
 )
+from rsplits.verification import check_family_laws, property_rng
 
 
 def vs(n, vertices):
     return VertexSet.of(n, vertices)
+
+
+def boundary_pair(rng, n, r):
+    """Two sets over {1..n} whose atoms A & B, A - B, B - A and the outside
+    have at most r + 1 vertices each, but for one atom that takes the rest:
+    the boundary cases of the orthogonality formula."""
+    sizes = [rng.randint(0, r + 1) for _ in range(4)]
+    rest = rng.randrange(4)
+    sizes[rest] = 0
+    sizes[rest] = n - sum(sizes)
+    order = rng.sample(range(1, n + 1), n)
+    inter, a_only, b_only = (order[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(3))
+    return VertexSet.of(n, sorted(inter + a_only)), VertexSet.of(n, sorted(inter + b_only))
 
 
 class TestOrthogonalityFormula:
@@ -70,6 +87,23 @@ class TestOrthogonalityFormula:
                 a, b = VertexSet(n, a_mask), VertexSet(n, b_mask)
                 for r in range(4):
                     assert is_orthogonal(a, b, r) == brute_orthogonal(a, b, r), (n, r, a, b)
+
+    def test_definition_route_has_no_size_cap(self, capsys):
+        # The pair closure stays inside the 16 sets that A and B generate,
+        # so the definition answers at every universe size.
+        rng = random.Random(19)
+        verdicts = []
+        for t in range(1000):
+            n = rng.randint(25, 128)
+            r = rng.randint(0, 3)
+            a, b = boundary_pair(rng, n, r)
+            verdict = is_orthogonal(a, b, r)
+            assert is_orthogonal_oracle(a, b, r) == verdict, (n, r, a, b)
+            verdicts.append(verdict)
+            if t < 40:
+                argv = ["ortho", "-n", str(n), "-r", str(r), "-A", str(a), "-B", str(b)]
+                assert main([*argv, "--oracle"]) == (0 if verdict else 1), argv
+        assert 200 < sum(verdicts) < 800
 
     def test_argument_checks(self):
         with pytest.raises(ValueError, match="universe mismatch"):
@@ -220,6 +254,13 @@ class TestCrossFreeClosure:
         with pytest.raises(ValueError, match="not 1-cross-free"):
             cross_free_closure(h, 1)
 
+    def test_crossing_input_names_the_first_pair(self):
+        h = Hypergraph.of_vertex_lists(6, [[3, 4, 5], [1, 2, 3]])
+        for route in (cross_free_closure, crossfree_size_bounds):
+            with pytest.raises(NotCrossFreeError) as exc:
+                route(h, 1)
+            assert str(exc.value) == "input is not 1-cross-free: 1,2,3 and 3,4,5 cross"
+
     def test_matches_full_closure_on_random_cross_free_inputs(self):
         rng = random.Random(13)
         found = 0
@@ -249,6 +290,49 @@ class TestSizeBounds:
         report = crossfree_size_bounds(Hypergraph(6, frozenset()), 1)
         assert (report.middle_edges, report.closure_middles) == (0, 0)
         assert report.passed
+
+
+class TestOneCrossingScan:
+    """cross_free_closure is the one crossing check on the bounds path."""
+
+    def test_family_laws_scan_each_family_once(self, monkeypatch):
+        scanned = []
+
+        def counted(h, r):
+            scanned.append((h.n, r))
+            return find_crossing_pair(h, r)
+
+        monkeypatch.setattr(rsplits.ortho, "find_crossing_pair", counted)
+        assert check_family_laws(property_rng(2024, "family-laws"), 12).passed
+        assert len(scanned) == len(set(scanned)) == 12
+
+    def test_a_reported_crossing_fails_the_laws_and_the_command(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(
+            rsplits.ortho, "find_crossing_pair", lambda h, r: tuple(h.sorted_edges()[:2])
+        )
+        # Both callers learn of the crossing from the size bounds themselves.
+        raised = []
+        bounds = rsplits.ortho.crossfree_size_bounds
+
+        def recorded(h, r):
+            try:
+                return bounds(h, r)
+            except NotCrossFreeError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(rsplits.ortho, "crossfree_size_bounds", recorded)
+        result = check_family_laws(property_rng(2024, "family-laws"), 12)
+        assert (result.tag, result.passed, result.detail) == ("family-crossfree", False, "r=1 k=2")
+        fam = tmp_path / "fam.hg"
+        assert main(["family", "-r", "1", "-k", "2", "-o", str(fam)]) == 0
+        assert main(["bounds", "-H", str(fam), "-r", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input is not 1-cross-free: 1,3 and 2,4 cross\n"
+        assert raised == ["input is not 1-cross-free: 1,3 and 2,4 cross"] * 2
 
 
 class TestBuildFamily:

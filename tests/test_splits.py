@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -8,7 +7,12 @@ import pytest
 
 from conftest import all_graphs, seeded_graphs
 from rsplits.bitset import VertexSet
-from rsplits.bruteforce import brute_splits, explicit_members
+from rsplits.bruteforce import (
+    brute_phi_image,
+    brute_rank_connected,
+    brute_splits,
+    explicit_members,
+)
 from rsplits.closure import close_degenerate, close_full
 from rsplits.graph import Graph, is_r_rank_connected
 from rsplits.hypergraph import Hypergraph, NotClosedError, equals
@@ -166,18 +170,9 @@ class TestEssentialRepresentation:
         assert len(essential) <= math.comb(8, 3)
 
 
-def naive_essential(h):
-    """The image of phi by its definition: the meet of the half-size middles covering x."""
-    image = set()
-    for combo in itertools.combinations(range(1, h.n + 1), h.r + 1):
-        x = VertexSet.of(h.n, combo)
-        covers = [a for a in h.middles if x.issubset(a) and 2 * len(a) <= h.n]
-        if covers:
-            meet = covers[0]
-            for a in covers[1:]:
-                meet = meet & a
-            image.add(meet)
-    return image
+def labels(h: Hypergraph) -> set[frozenset[int]]:
+    """The edges of h as frozensets of vertex labels, the oracle's currency."""
+    return {frozenset(e.members()) for e in h.edges}
 
 
 class TestEssentialAgainstDefinition:
@@ -188,7 +183,8 @@ class TestEssentialAgainstDefinition:
             r = rng.randint(0, 3)
             edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(1, 4)))
             closed = close_full(Hypergraph(n, edges), r)
-            assert essential_representation(closed).edges == naive_essential(closed), (n, r)
+            image = brute_phi_image(explicit_members(closed), n, r)
+            assert labels(essential_representation(closed)) == image, (n, r)
 
     def test_seeded_split_families(self):
         checked = 0
@@ -196,7 +192,8 @@ class TestEssentialAgainstDefinition:
             for r in (1, 2):
                 if is_r_rank_connected(g, r):
                     family = enumerate_r_splits(g, r)
-                    assert essential_representation(family).edges == naive_essential(family)
+                    image = brute_phi_image(brute_splits(g, r), g.n, r)
+                    assert labels(essential_representation(family)) == image
                     checked += 1
         assert checked >= 10
 
@@ -239,11 +236,15 @@ class TestRoundTrip:
 
 class TestRankConnectedSplits:
     def test_all_small_graphs(self):
-        # One search must agree with the connectivity test and the enumeration.
+        # One search must agree with the oracle's connectivity verdict and
+        # the enumeration, and its essential members with the oracle's phi.
         for g in all_graphs(5):
             for r in range(4):
-                if is_r_rank_connected(g, r):
-                    assert equals(rank_connected_splits(g, r), enumerate_r_splits(g, r)), (g, r)
+                if brute_rank_connected(g, r):
+                    family = rank_connected_splits(g, r)
+                    assert equals(family, enumerate_r_splits(g, r)), (g, r)
+                    image = brute_phi_image(brute_splits(g, r), g.n, r)
+                    assert labels(essential_representation(family)) == image, (g, r)
                 else:
                     with pytest.raises(NotRankConnectedError, match=f"not {r}-rank connected"):
                         rank_connected_splits(g, r)
