@@ -1,11 +1,13 @@
 """Brute-force reference implementations, kept deliberately naive.
 
-Naive here means literal: everything works on explicit Python sets of
-frozensets (vertex labels, not bit masks) and dense 0/1 row lists, shares
-no code with the packed-int engines it cross-checks, and applies each rule
-as written over all 2^n subsets, trivial ones included, with no middle-zone
-filter.  Speed is a non-goal; the one saving taken is that the closure
-never retries a pair (see `brute_closure`).
+Naive here means literal: each rule is applied as written over all 2^n
+subsets, trivial ones included, with no middle-zone filter and no lemma
+from the paper.  The oracles share no code with the engines they
+cross-check and keep their own encodings: dense 0/1 row lists for ranks,
+and for the closure n-bit ints that `brute_closure` builds itself from
+vertex labels (label v is bit `1 << (v - 1)`), decoded back to frozensets
+of labels before they are returned.  Speed is a non-goal; the one saving
+taken is that the closure never retries a pair (see `brute_closure`).
 """
 
 from __future__ import annotations
@@ -28,32 +30,36 @@ def brute_closure(h: Hypergraph, r: int, use_rule_k2: bool = True) -> set[frozen
     since the last sweep with every member already paired and with each
     other.  The family only grows, so the union of a pair tried in an
     earlier sweep is still in it.
+
+    The loop runs on n-bit ints encoded here from the edges' vertex labels
+    (label v is bit v - 1); the result is decoded to frozensets of labels.
     """
     limits.check_cap(h.n, limits.oracle_cap(), "brute-force closure")
-    universe = frozenset(range(1, h.n + 1))
-    family: set[frozenset[int]] = {frozenset(edge.members()) for edge in h.edges}
+    bits = [1 << (v - 1) for v in range(1, h.n + 1)]
+    universe = (1 << h.n) - 1
+    family: set[int] = {sum(bits[v - 1] for v in edge.members()) for edge in h.edges}
     for size in range(r + 1):
-        for combo in itertools.combinations(sorted(universe), size):
-            family.add(frozenset(combo))
-    paired: list[frozenset[int]] = []  # members already paired with one another
+        for combo in itertools.combinations(bits, size):
+            family.add(sum(combo))
+    paired: list[int] = []  # members already paired with one another
     changed = True
     while changed:
         changed = False
         for a in list(family):
-            comp = universe - a
+            comp = universe ^ a
             if comp not in family:
                 family.add(comp)
                 changed = True
         if use_rule_k2:
             for a in list(family.difference(paired)):
                 for b in paired:
-                    if len(a & b) >= r:
+                    if (a & b).bit_count() >= r:
                         union = a | b
                         if union not in family:
                             family.add(union)
                             changed = True
                 paired.append(a)
-    return family
+    return {frozenset(v for v, bit in enumerate(bits, 1) if a & bit) for a in family}
 
 
 def brute_rank(rows: list[list[int]]) -> int:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
+import rsplits.bruteforce
 import rsplits.graph
 from conftest import seeded_graphs
 from rsplits.bitset import VertexSet
@@ -73,10 +76,28 @@ class TestBruteClosure:
         assert frozenset({1, 2}) in brute_closure(h, 1)
 
 
+def rederive_closure(h: Hypergraph, r: int, use_rule_k2: bool) -> set[frozenset[int]]:
+    """The least family holding the seeds, re-derived on label frozensets in
+    full rounds: every complement and, with K2 on, the union of every pair
+    meeting in >= r vertices, until a round adds nothing."""
+    universe = frozenset(range(1, h.n + 1))
+    family = {frozenset(edge.members()) for edge in h.edges}
+    for size in range(min(r, h.n) + 1):
+        family.update(frozenset(c) for c in itertools.combinations(universe, size))
+    while True:
+        derived = {universe - a for a in family}
+        if use_rule_k2:
+            derived.update(a | b for a, b in itertools.combinations(family, 2) if len(a & b) >= r)
+        if derived <= family:
+            return family
+        family |= derived
+
+
 def assert_closed_by_definition(h: Hypergraph, r: int, use_rule_k2: bool) -> None:
     """brute_closure(h, r) read against the rules themselves, not its own loop:
     it holds the edges and the sets of size <= r (K0), every complement (K1)
-    and, with K2 on, the union of every pair meeting in >= r vertices."""
+    and, with K2 on, the union of every pair meeting in >= r vertices; and it
+    is the least such family, the one the rules derive from the seeds."""
     family = brute_closure(h, r, use_rule_k2=use_rule_k2)
     context = (h.n, r, use_rule_k2, sorted(str(edge) for edge in h.edges))
     universe = frozenset(range(1, h.n + 1))
@@ -87,6 +108,7 @@ def assert_closed_by_definition(h: Hypergraph, r: int, use_rule_k2: bool) -> Non
     if use_rule_k2:
         for a, b in itertools.combinations(family, 2):
             assert len(a & b) < r or a | b in family, (context, sorted(a), sorted(b))
+    assert family == rederive_closure(h, r, use_rule_k2), context
 
 
 class TestBruteClosureByDefinition:
@@ -122,6 +144,43 @@ class TestBruteClosureByDefinition:
         h = Hypergraph.of_vertex_lists(6, [[1, 3, 4], [1, 3, 5, 6], [2, 3, 4, 6], [3, 6]])
         assert frozenset({4, 6}) in brute_closure(h, 1)
         assert_closed_by_definition(h, 1, True)
+
+
+class TestOracleIndependence:
+    """The oracles share no code with the engines: `bruteforce.py` imports
+    nothing beyond the value types and the caps, and never reads the int
+    masks the engines store, so its encodings are its own."""
+
+    TREE = ast.parse(pathlib.Path(rsplits.bruteforce.__file__).read_text(encoding="utf-8"))
+
+    def test_imports_only_itertools_limits_and_the_value_types(self):
+        imported = set()
+        for node in ast.walk(self.TREE):
+            if isinstance(node, ast.Import):
+                imported.update((alias.name, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                module = "." * node.level + (node.module or "")
+                imported.update((module, alias.name) for alias in node.names)
+        assert imported == {
+            ("itertools", None),
+            (".", "limits"),
+            (".bitset", "VertexSet"),
+            (".graph", "Graph"),
+            (".hypergraph", "Hypergraph"),
+        }
+
+    def test_reads_no_mask_attribute(self):
+        reads = [
+            (node.lineno, node.attr)
+            for node in ast.walk(self.TREE)
+            if isinstance(node, ast.Attribute) and node.attr in ("mask", "masks")
+        ]
+        getattr_names = [
+            (node.lineno, node.value)
+            for node in ast.walk(self.TREE)
+            if isinstance(node, ast.Constant) and node.value in ("mask", "masks")
+        ]
+        assert (reads, getattr_names) == ([], [])
 
 
 class TestBruteRank:

@@ -1,5 +1,6 @@
 """Property-based checks that a closed family's int-mask storage agrees with
-its VertexSet view and with the naive definitions, for n <= 8 and r <= 3."""
+its VertexSet view, with the naive definitions and with the brute-force
+closure oracle, for n <= 8 and r <= 3."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from rsplits.bitset import VertexSet
+from rsplits.bruteforce import brute_closure, explicit_members
 from rsplits.closure import close_degenerate, close_full
 from rsplits.hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, normalize
 from rsplits.splits import essential_representation, phi
@@ -44,6 +46,14 @@ def test_constructor_from_the_view_keeps_the_masks(family):
     for closed in (close_full(h, r), close_degenerate(h, r)):
         assert ClosedHypergraph(h.n, r, closed.middles).masks == closed.masks
         assert {a.mask for a in closed.middles} == closed.masks
+
+
+@settings(deadline=None)
+@given(families())
+def test_closures_match_the_brute_force_oracle(family):
+    h, r = family
+    assert explicit_members(close_full(h, r)) == brute_closure(h, r)
+    assert explicit_members(close_degenerate(h, r)) == brute_closure(h, r, use_rule_k2=False)
 
 
 def _outcome(compute):
