@@ -2,7 +2,8 @@
 
 Exit codes follow one contract: 0 means true/success, 1 means a queried
 property is false or a required hypothesis fails, 2 means a parse or
-usage error.
+usage error.  Output to a pipe that its reader has closed ends in exit 1,
+with nothing on stderr.
 
 `ortho` and `verification` are imported inside the commands that use
 them, so a graph command such as `rsplit verify -g` never loads them.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -342,7 +344,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the
+        # interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except NotRankConnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

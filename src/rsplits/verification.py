@@ -4,11 +4,13 @@ on, each checked against independent brute-force routes where one exists.
 All randomness flows from a single seeded generator, so a given (seed,
 profile) pair produces a byte-identical report.  Engine entry points are
 called through their modules, which lets tests inject broken routines and
-confirm that the suite catches them.
+confirm that the suite catches them.  A check that raises, as a broken
+engine may, is reported as a FAIL line and the suite goes on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Callable, NamedTuple, Optional
@@ -136,6 +138,29 @@ def _sorted_members(closed: ClosedHypergraph) -> list[VertexSet]:
 
 # ---------------------------------------------------------------------------
 # Property checks.  Each returns a PropertyResult; `trials` scales the work.
+# Most are one trial, returning None or the (sub-tag, detail) of a failure,
+# run `trials` times by `_per_trial`; six keep loops of their own.  A check
+# that raises is a FAIL, reported by `run_verification_suite`.
+
+Check = Callable[[random.Random, int], PropertyResult]
+Failure = Optional[tuple[str, str]]
+
+
+def _per_trial(tag: str) -> Callable[[Callable[[random.Random], Failure]], Check]:
+    """A check that runs `trial` `trials` times and passes under `tag`."""
+
+    def wrap(trial: Callable[[random.Random], Failure]) -> Check:
+        @functools.wraps(trial)
+        def check(rng: random.Random, trials: int) -> PropertyResult:
+            for t in range(trials):
+                failure = trial(rng)
+                if failure is not None:
+                    return PropertyResult(failure[0], t + 1, False, failure[1])
+            return PropertyResult(tag, trials, True)
+
+        return check
+
+    return wrap
 
 
 def _transpose(rows: tuple[int, ...], n_cols: int) -> tuple[int, ...]:
@@ -145,80 +170,69 @@ def _transpose(rows: tuple[int, ...], n_cols: int) -> tuple[int, ...]:
     )
 
 
-def check_gf2_rank_laws(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n_rows = rng.randint(0, 7)
-        n_cols = rng.randint(0, 7)
-        rows = tuple(rng.getrandbits(n_cols) if n_cols else 0 for _ in range(n_rows))
-        rank = rank_of_rows(rows)
-        if rank != rank_of_rows(_transpose(rows, n_cols)):
-            return PropertyResult("gf2-transpose", t + 1, False, f"rows={rows} cols={n_cols}")
-        if n_rows >= 2:
-            picks = rng.sample(range(n_rows), rng.randint(2, n_rows))
-            extra = 0
-            for i in picks:
-                extra ^= rows[i]
-            if rank_of_rows(rows + (extra,)) != rank:
-                return PropertyResult("gf2-xor-append", t + 1, False, f"rows={rows} xor of {picks}")
-        shuffled = list(rows)
-        rng.shuffle(shuffled)
-        if rank_of_rows(shuffled) != rank:
-            return PropertyResult("gf2-row-permutation", t + 1, False, f"rows={rows}")
-    return PropertyResult("gf2-rank-laws", trials, True)
+@_per_trial("gf2-rank-laws")
+def check_gf2_rank_laws(rng: random.Random) -> Failure:
+    n_rows = rng.randint(0, 7)
+    n_cols = rng.randint(0, 7)
+    rows = tuple(rng.getrandbits(n_cols) if n_cols else 0 for _ in range(n_rows))
+    rank = rank_of_rows(rows)
+    if rank != rank_of_rows(_transpose(rows, n_cols)):
+        return "gf2-transpose", f"rows={rows} cols={n_cols}"
+    if n_rows >= 2:
+        picks = rng.sample(range(n_rows), rng.randint(2, n_rows))
+        extra = 0
+        for i in picks:
+            extra ^= rows[i]
+        if rank_of_rows(rows + (extra,)) != rank:
+            return "gf2-xor-append", f"rows={rows} xor of {picks}"
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    if rank_of_rows(shuffled) != rank:
+        return "gf2-row-permutation", f"rows={rows}"
 
 
-def check_set_cardinality_identity(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(0, 16)
-        a = random_vertex_set(rng, n)
-        b = random_vertex_set(rng, n)
-        if len(a | b) + len(a & b) != len(a) + len(b):
-            return PropertyResult("set-cardinality-identity", t + 1, False, f"n={n} a={a} b={b}")
-    return PropertyResult("set-cardinality-identity", trials, True)
+@_per_trial("set-cardinality-identity")
+def check_set_cardinality_identity(rng: random.Random) -> Failure:
+    n = rng.randint(0, 16)
+    a = random_vertex_set(rng, n)
+    b = random_vertex_set(rng, n)
+    if len(a | b) + len(a & b) != len(a) + len(b):
+        return "set-cardinality-identity", f"n={n} a={a} b={b}"
 
 
-def check_cut_rank_vs_bruteforce(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 9)
-        g = random_graph(rng, n)
-        x = random_vertex_set(rng, n)
-        fast = graph_mod.cut_rank(g, x)
-        slow = bruteforce.brute_cut_rank(g, frozenset(x.members()))
-        if fast != slow:
-            return PropertyResult(
-                "cutrank-vs-bruteforce", t + 1, False, f"g={g.edges()} X={x}: {fast} vs {slow}"
-            )
-    return PropertyResult("cutrank-vs-bruteforce", trials, True)
+@_per_trial("cutrank-vs-bruteforce")
+def check_cut_rank_vs_bruteforce(rng: random.Random) -> Failure:
+    n = rng.randint(1, 9)
+    g = random_graph(rng, n)
+    x = random_vertex_set(rng, n)
+    fast = graph_mod.cut_rank(g, x)
+    slow = bruteforce.brute_cut_rank(g, frozenset(x.members()))
+    if fast != slow:
+        return "cutrank-vs-bruteforce", f"g={g.edges()} X={x}: {fast} vs {slow}"
 
 
-def check_cut_rank_symmetry_and_bound(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 10)
-        g = random_graph(rng, n)
-        x = random_vertex_set(rng, n)
-        rank = graph_mod.cut_rank(g, x)
-        if rank != graph_mod.cut_rank(g, x.complement()):
-            return PropertyResult("cutrank-symmetry", t + 1, False, f"g={g.edges()} X={x}")
-        if rank > min(len(x), n - len(x)):
-            return PropertyResult("cutrank-bound", t + 1, False, f"g={g.edges()} X={x} rank={rank}")
-    return PropertyResult("cutrank-symmetry-bound", trials, True)
+@_per_trial("cutrank-symmetry-bound")
+def check_cut_rank_symmetry_and_bound(rng: random.Random) -> Failure:
+    n = rng.randint(1, 10)
+    g = random_graph(rng, n)
+    x = random_vertex_set(rng, n)
+    rank = graph_mod.cut_rank(g, x)
+    if rank != graph_mod.cut_rank(g, x.complement()):
+        return "cutrank-symmetry", f"g={g.edges()} X={x}"
+    if rank > min(len(x), n - len(x)):
+        return "cutrank-bound", f"g={g.edges()} X={x} rank={rank}"
 
 
-def check_submodularity(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 9)
-        g = random_graph(rng, n)
-        x = random_vertex_set(rng, n)
-        y = random_vertex_set(rng, n)
-        lhs = graph_mod.cut_rank(g, x | y) + graph_mod.cut_rank(g, x & y)
-        rhs = graph_mod.cut_rank(g, x) + graph_mod.cut_rank(g, y)
-        if lhs > rhs:
-            return PropertyResult(
-                "cutrank-submodular", t + 1, False, f"g={g.edges()} X={x} Y={y}: {lhs} > {rhs}"
-            )
-    return PropertyResult("cutrank-submodular", trials, True)
-
-
+@_per_trial("cutrank-submodular")
+def check_submodularity(rng: random.Random) -> Failure:
+    n = rng.randint(1, 9)
+    g = random_graph(rng, n)
+    x = random_vertex_set(rng, n)
+    y = random_vertex_set(rng, n)
+    lhs = graph_mod.cut_rank(g, x | y) + graph_mod.cut_rank(g, x & y)
+    rhs = graph_mod.cut_rank(g, x) + graph_mod.cut_rank(g, y)
+    if lhs > rhs:
+        return "cutrank-submodular", f"g={g.edges()} X={x} Y={y}: {lhs} > {rhs}"
 def _split_pairs(g: Graph, r: int) -> list[tuple[VertexSet, VertexSet]]:
     """Pairs (X, Y) of r-splits of g (n >= 1), X <= Y by mask, with |X & Y| >= r."""
     full = (1 << g.n) - 1
@@ -285,122 +299,105 @@ def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyRes
     return PropertyResult("trivial-closure-census", combos, True)
 
 
-def check_closure_vs_bruteforce(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(1, 3)
-        n = rng.randint(3, 9)
-        h = random_hypergraph(rng, n, max_edges=4)
-        full = closure_mod.close_full(h, r)
-        if bruteforce.explicit_members(full) != bruteforce.brute_closure(h, r, use_rule_k2=True):
-            return PropertyResult(
-                "closure-vs-bruteforce", t + 1, False, f"n={n} r={r} edges={[str(e) for e in h]}"
-            )
-        degenerate = closure_mod.close_degenerate(h, r)
-        if bruteforce.explicit_members(degenerate) != bruteforce.brute_closure(h, r, use_rule_k2=False):
-            return PropertyResult(
-                "degenerate-vs-bruteforce", t + 1, False, f"n={n} r={r} edges={[str(e) for e in h]}"
-            )
-    return PropertyResult("closure-vs-bruteforce", trials, True)
+@_per_trial("closure-vs-bruteforce")
+def check_closure_vs_bruteforce(rng: random.Random) -> Failure:
+    r = rng.randint(1, 3)
+    n = rng.randint(3, 9)
+    h = random_hypergraph(rng, n, max_edges=4)
+    full = closure_mod.close_full(h, r)
+    if bruteforce.explicit_members(full) != bruteforce.brute_closure(h, r, use_rule_k2=True):
+        return "closure-vs-bruteforce", f"n={n} r={r} edges={[str(e) for e in h]}"
+    degenerate = closure_mod.close_degenerate(h, r)
+    if bruteforce.explicit_members(degenerate) != bruteforce.brute_closure(h, r, use_rule_k2=False):
+        return "degenerate-vs-bruteforce", f"n={n} r={r} edges={[str(e) for e in h]}"
 
 
-def check_closure_operator_laws(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(0, 3)
-        n = rng.randint(2, 9)
-        h = random_hypergraph(rng, n, max_edges=3)
-        closed = closure_mod.close_full(h, r)
-        if not all(closed.contains(edge) for edge in h.edges):
-            return PropertyResult("closure-extensive", t + 1, False, f"n={n} r={r}")
-        extra = random_vertex_set(rng, n)
-        wider = Hypergraph(n, h.edges | {extra})
-        wider_closed = closure_mod.close_full(wider, r)
-        if not closed.masks <= wider_closed.masks:
-            return PropertyResult("closure-monotone", t + 1, False, f"n={n} r={r} extra={extra}")
-        again = closure_mod.close_full(closed.materialize(), r)
-        if not equals(again, closed):
-            return PropertyResult("closure-idempotent", t + 1, False, f"n={n} r={r}")
-        degenerate = closure_mod.close_degenerate(h, r)
-        if not degenerate.masks <= closed.masks:
-            return PropertyResult("degenerate-below-full", t + 1, False, f"n={n} r={r}")
-    return PropertyResult("closure-operator-laws", trials, True)
+@_per_trial("closure-operator-laws")
+def check_closure_operator_laws(rng: random.Random) -> Failure:
+    r = rng.randint(0, 3)
+    n = rng.randint(2, 9)
+    h = random_hypergraph(rng, n, max_edges=3)
+    closed = closure_mod.close_full(h, r)
+    if not all(closed.contains(edge) for edge in h.edges):
+        return "closure-extensive", f"n={n} r={r}"
+    extra = random_vertex_set(rng, n)
+    wider = Hypergraph(n, h.edges | {extra})
+    wider_closed = closure_mod.close_full(wider, r)
+    if not closed.masks <= wider_closed.masks:
+        return "closure-monotone", f"n={n} r={r} extra={extra}"
+    again = closure_mod.close_full(closed.materialize(), r)
+    if not equals(again, closed):
+        return "closure-idempotent", f"n={n} r={r}"
+    degenerate = closure_mod.close_degenerate(h, r)
+    if not degenerate.masks <= closed.masks:
+        return "degenerate-below-full", f"n={n} r={r}"
 
 
-def check_normalize_idempotent(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(0, 3)
-        n = rng.randint(2, 9)
-        closed = random_closed_family(rng, n, r)
-        renorm = normalize(closed.materialize(), r)
-        if not equals(renorm, closed):
-            return PropertyResult("normalize-idempotent", t + 1, False, f"n={n} r={r}")
-        if not all(closed.contains(a) == closed.contains(a.complement()) for a in closed.middles):
-            return PropertyResult("contains-complement", t + 1, False, f"n={n} r={r}")
-    return PropertyResult("normalize-idempotent", trials, True)
+@_per_trial("normalize-idempotent")
+def check_normalize_idempotent(rng: random.Random) -> Failure:
+    r = rng.randint(0, 3)
+    n = rng.randint(2, 9)
+    closed = random_closed_family(rng, n, r)
+    renorm = normalize(closed.materialize(), r)
+    if not equals(renorm, closed):
+        return "normalize-idempotent", f"n={n} r={r}"
+    if not all(closed.contains(a) == closed.contains(a.complement()) for a in closed.middles):
+        return "contains-complement", f"n={n} r={r}"
 
 
-def check_closure_system_intersection(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(0, 2)
-        n = rng.randint(3, 8)
-        h1 = random_closed_family(rng, n, r)
-        h2 = random_closed_family(rng, n, r)
-        meet = ClosedHypergraph(n, r, h1.middles & h2.middles)
-        try:
-            normalize(meet.materialize(), r)
-        except ValueError as exc:
-            return PropertyResult(
-                "closure-system-intersection", t + 1, False, f"n={n} r={r}: {exc}"
-            )
-    return PropertyResult("closure-system-intersection", trials, True)
+@_per_trial("closure-system-intersection")
+def check_closure_system_intersection(rng: random.Random) -> Failure:
+    r = rng.randint(0, 2)
+    n = rng.randint(3, 8)
+    h1 = random_closed_family(rng, n, r)
+    h2 = random_closed_family(rng, n, r)
+    meet = ClosedHypergraph(n, r, h1.middles & h2.middles)
+    try:
+        normalize(meet.materialize(), r)
+    except ValueError as exc:
+        return "closure-system-intersection", f"n={n} r={r}: {exc}"
 
 
-def check_derived_rules_hold(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(1, 3)
-        n = rng.randint(3, 9)
-        closed = random_closed_family(rng, n, r)
-        violations = closure_mod.check_derived_rules(closed)
-        if violations:
-            return PropertyResult("derived-rules", t + 1, False, f"n={n} r={r}: {violations[0]}")
-    return PropertyResult("derived-rules", trials, True)
+@_per_trial("derived-rules")
+def check_derived_rules_hold(rng: random.Random) -> Failure:
+    r = rng.randint(1, 3)
+    n = rng.randint(3, 9)
+    closed = random_closed_family(rng, n, r)
+    violations = closure_mod.check_derived_rules(closed)
+    if violations:
+        return "derived-rules", f"n={n} r={r}: {violations[0]}"
 
 
-def check_chain_union(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(1, 3)
-        n = rng.randint(3, 9)
-        closed = random_closed_family(rng, n, r)
-        members = _sorted_members(closed)
-        chain = [members[rng.randrange(len(members))]]
-        for _ in range(rng.randint(0, 3)):
-            last = chain[-1].mask
-            linked = [m for m in members if (m.mask & last).bit_count() >= r]
-            if not linked:
-                break
-            chain.append(linked[rng.randrange(len(linked))])
-        union = chain[0]
-        for a in chain[1:]:
-            union = union | a
-        if not closed.contains(union):
-            return PropertyResult(
-                "chain-union", t + 1, False, f"n={n} r={r} chain={[str(c) for c in chain]}"
-            )
-    return PropertyResult("chain-union", trials, True)
+@_per_trial("chain-union")
+def check_chain_union(rng: random.Random) -> Failure:
+    r = rng.randint(1, 3)
+    n = rng.randint(3, 9)
+    closed = random_closed_family(rng, n, r)
+    members = _sorted_members(closed)
+    chain = [members[rng.randrange(len(members))]]
+    for _ in range(rng.randint(0, 3)):
+        last = chain[-1].mask
+        linked = [m for m in members if (m.mask & last).bit_count() >= r]
+        if not linked:
+            break
+        chain.append(linked[rng.randrange(len(linked))])
+    union = chain[0]
+    for a in chain[1:]:
+        union = union | a
+    if not closed.contains(union):
+        return "chain-union", f"n={n} r={r} chain={[str(c) for c in chain]}"
 
 
-def check_half_side_intersection(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        r = rng.randint(1, 3)
-        n = rng.randint(3, 9)
-        closed = random_closed_family(rng, n, r)
-        halves = [m for m in _sorted_members(closed) if 2 * len(m) <= n]
-        a = halves[rng.randrange(len(halves))]
-        b = halves[rng.randrange(len(halves))]
-        if not closed.contains(a & b):
-            return PropertyResult(
-                "half-side-intersection", t + 1, False, f"n={n} r={r} A={a} B={b}"
-            )
-    return PropertyResult("half-side-intersection", trials, True)
+@_per_trial("half-side-intersection")
+def check_half_side_intersection(rng: random.Random) -> Failure:
+    r = rng.randint(1, 3)
+    n = rng.randint(3, 9)
+    closed = random_closed_family(rng, n, r)
+    halves = [m for m in _sorted_members(closed) if 2 * len(m) <= n]
+    a = halves[rng.randrange(len(halves))]
+    b = halves[rng.randrange(len(halves))]
+    if not closed.contains(a & b):
+        return "half-side-intersection", f"n={n} r={r} A={a} B={b}"
 
 
 def _random_pair(rng: random.Random, n: int) -> tuple[VertexSet, VertexSet]:
@@ -420,113 +417,92 @@ def _random_pair(rng: random.Random, n: int) -> tuple[VertexSet, VertexSet]:
     return a, b
 
 
-def check_ortho_formula_vs_definition(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 8)
-        r = rng.randint(0, 3)
-        a, b = _random_pair(rng, n)
-        via_formula = ortho_mod.is_orthogonal(a, b, r)
-        via_definition = ortho_mod.is_orthogonal_oracle(a, b, r)
-        if via_formula != via_definition:
-            return PropertyResult(
-                "ortho-formula-vs-definition",
-                t + 1,
-                False,
-                f"n={n} r={r} A={a} B={b}: formula={via_formula}",
-            )
-    return PropertyResult("ortho-formula-vs-definition", trials, True)
+@_per_trial("ortho-formula-vs-definition")
+def check_ortho_formula_vs_definition(rng: random.Random) -> Failure:
+    n = rng.randint(1, 8)
+    r = rng.randint(0, 3)
+    a, b = _random_pair(rng, n)
+    via_formula = ortho_mod.is_orthogonal(a, b, r)
+    via_definition = ortho_mod.is_orthogonal_oracle(a, b, r)
+    if via_formula != via_definition:
+        return "ortho-formula-vs-definition", f"n={n} r={r} A={a} B={b}: formula={via_formula}"
 
 
-def check_ortho_properties(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 10)
-        r = rng.randint(0, 3)
-        a, b = _random_pair(rng, n)
-        small = VertexSet.of(n, rng.sample(range(1, n + 1), min(rng.randint(0, r), n)))
-        if not ortho_mod.is_orthogonal(small, b, r):
-            return PropertyResult("ortho-prop-small", t + 1, False, f"n={n} r={r} A={small} B={b}")
-        if not ortho_mod.is_orthogonal(a, a, r):
-            return PropertyResult("ortho-prop-self", t + 1, False, f"n={n} r={r} A={a}")
-        if not ortho_mod.is_orthogonal(a, a.complement(), r):
-            return PropertyResult("ortho-prop-complement", t + 1, False, f"n={n} r={r} A={a}")
-        ab = ortho_mod.is_orthogonal(a, b, r)
-        if ab != ortho_mod.is_orthogonal(b, a, r):
-            return PropertyResult("ortho-prop-symmetry", t + 1, False, f"n={n} r={r} A={a} B={b}")
-        if ab and not ortho_mod.is_orthogonal(a, b.complement(), r):
-            return PropertyResult("ortho-prop-flip-b", t + 1, False, f"n={n} r={r} A={a} B={b}")
-        if ab:
-            for a2 in (a, a.complement()):
-                for b2 in (b, b.complement()):
-                    if not ortho_mod.is_orthogonal(a2, b2, r):
-                        return PropertyResult(
-                            "ortho-prop-flip-both", t + 1, False, f"n={n} r={r} A={a2} B={b2}"
-                        )
-        if ab and not ortho_mod.is_orthogonal(a, b, r + 1):
-            return PropertyResult("ortho-prop-monotone", t + 1, False, f"n={n} r={r} A={a} B={b}")
-    return PropertyResult("ortho-properties", trials, True)
+@_per_trial("ortho-properties")
+def check_ortho_properties(rng: random.Random) -> Failure:
+    n = rng.randint(1, 10)
+    r = rng.randint(0, 3)
+    a, b = _random_pair(rng, n)
+    small = VertexSet.of(n, rng.sample(range(1, n + 1), min(rng.randint(0, r), n)))
+    if not ortho_mod.is_orthogonal(small, b, r):
+        return "ortho-prop-small", f"n={n} r={r} A={small} B={b}"
+    if not ortho_mod.is_orthogonal(a, a, r):
+        return "ortho-prop-self", f"n={n} r={r} A={a}"
+    if not ortho_mod.is_orthogonal(a, a.complement(), r):
+        return "ortho-prop-complement", f"n={n} r={r} A={a}"
+    ab = ortho_mod.is_orthogonal(a, b, r)
+    if ab != ortho_mod.is_orthogonal(b, a, r):
+        return "ortho-prop-symmetry", f"n={n} r={r} A={a} B={b}"
+    if ab and not ortho_mod.is_orthogonal(a, b.complement(), r):
+        return "ortho-prop-flip-b", f"n={n} r={r} A={a} B={b}"
+    if ab:
+        for a2 in (a, a.complement()):
+            for b2 in (b, b.complement()):
+                if not ortho_mod.is_orthogonal(a2, b2, r):
+                    return "ortho-prop-flip-both", f"n={n} r={r} A={a2} B={b2}"
+    if ab and not ortho_mod.is_orthogonal(a, b, r + 1):
+        return "ortho-prop-monotone", f"n={n} r={r} A={a} B={b}"
 
 
-def check_noncrossing_r1(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.choice((5, 6, 7))
-        a = random_vertex_set(rng, n)
-        b = random_vertex_set(rng, n)
-        classic = (
-            a.issubset(b)
-            or b.issubset(a)
-            or (a & b).mask == 0
-            or (a | b).mask == (1 << n) - 1
-        )
-        if ortho_mod.is_orthogonal(a, b, 1) != classic:
-            return PropertyResult("ortho-noncrossing-r1", t + 1, False, f"n={n} A={a} B={b}")
-    return PropertyResult("ortho-noncrossing-r1", trials, True)
+@_per_trial("ortho-noncrossing-r1")
+def check_noncrossing_r1(rng: random.Random) -> Failure:
+    n = rng.choice((5, 6, 7))
+    a = random_vertex_set(rng, n)
+    b = random_vertex_set(rng, n)
+    classic = (
+        a.issubset(b)
+        or b.issubset(a)
+        or (a & b).mask == 0
+        or (a | b).mask == (1 << n) - 1
+    )
+    if ortho_mod.is_orthogonal(a, b, 1) != classic:
+        return "ortho-noncrossing-r1", f"n={n} A={a} B={b}"
 
 
-def check_singleton_closure(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 9)
-        r = rng.randint(0, 3)
-        a = random_vertex_set(rng, n)
-        closed = closure_mod.close_full(Hypergraph(n, frozenset({a})), r)
-        if not closed.masks <= {a.mask, a.complement().mask}:
-            return PropertyResult(
-                "singleton-closure", t + 1, False, f"n={n} r={r} A={a} middles={len(closed.masks)}"
-            )
-    return PropertyResult("singleton-closure", trials, True)
+@_per_trial("singleton-closure")
+def check_singleton_closure(rng: random.Random) -> Failure:
+    n = rng.randint(1, 9)
+    r = rng.randint(0, 3)
+    a = random_vertex_set(rng, n)
+    closed = closure_mod.close_full(Hypergraph(n, frozenset({a})), r)
+    if not closed.masks <= {a.mask, a.complement().mask}:
+        return "singleton-closure", f"n={n} r={r} A={a} middles={len(closed.masks)}"
 
 
-def check_pair_closure_union(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(2, 8)
-        r = rng.randint(0, 3)
-        a, b = _random_pair(rng, n)
-        joint = closure_mod.close_full(Hypergraph(n, frozenset({a, b})), r)
-        solo_union = (
-            closure_mod.close_full(Hypergraph(n, frozenset({a})), r).masks
-            | closure_mod.close_full(Hypergraph(n, frozenset({b})), r).masks
-        )
-        union_equality = joint.masks == solo_union
-        if union_equality != ortho_mod.is_orthogonal(a, b, r):
-            return PropertyResult(
-                "pair-closure-union", t + 1, False, f"n={n} r={r} A={a} B={b}"
-            )
-    return PropertyResult("pair-closure-union", trials, True)
+@_per_trial("pair-closure-union")
+def check_pair_closure_union(rng: random.Random) -> Failure:
+    n = rng.randint(2, 8)
+    r = rng.randint(0, 3)
+    a, b = _random_pair(rng, n)
+    joint = closure_mod.close_full(Hypergraph(n, frozenset({a, b})), r)
+    solo_union = (
+        closure_mod.close_full(Hypergraph(n, frozenset({a})), r).masks
+        | closure_mod.close_full(Hypergraph(n, frozenset({b})), r).masks
+    )
+    union_equality = joint.masks == solo_union
+    if union_equality != ortho_mod.is_orthogonal(a, b, r):
+        return "pair-closure-union", f"n={n} r={r} A={a} B={b}"
 
 
-def check_crossfree_transfer(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(3, 6)
-        r = rng.randint(1, 2)
-        h = random_hypergraph(rng, n, max_edges=3)
-        before = ortho_mod.is_cross_free(h, r)
-        after = ortho_mod.is_cross_free(closure_mod.close_full(h, r).materialize(), r)
-        if before != after:
-            return PropertyResult(
-                "crossfree-transfer", t + 1, False,
-                f"n={n} r={r} edges={[str(e) for e in h]}: {before} vs {after}",
-            )
-    return PropertyResult("crossfree-transfer", trials, True)
-
+@_per_trial("crossfree-transfer")
+def check_crossfree_transfer(rng: random.Random) -> Failure:
+    n = rng.randint(3, 6)
+    r = rng.randint(1, 2)
+    h = random_hypergraph(rng, n, max_edges=3)
+    before = ortho_mod.is_cross_free(h, r)
+    after = ortho_mod.is_cross_free(closure_mod.close_full(h, r).materialize(), r)
+    if before != after:
+        return "crossfree-transfer", f"n={n} r={r} edges={[str(e) for e in h]}: {before} vs {after}"
 
 def check_essential_roundtrip(rng: random.Random, trials: int) -> PropertyResult:
     done = 0
@@ -578,31 +554,26 @@ def check_family_laws(rng: random.Random, trials: int) -> PropertyResult:
 
 def check_lower_bound_desk(rng: random.Random, trials: int) -> PropertyResult:
     cases = ((1, 2), (1, 4), (2, 3))
-    for r, k in cases:
+    for case, (r, k) in enumerate(cases, 1):
         report = ortho_mod.verify_lower_bound(FamilyParams(r, k))
         if not report.passed:
-            return PropertyResult("lowerbound-desk", 1, False, f"r={r} k={k}")
+            return PropertyResult("lowerbound-desk", case, False, f"r={r} k={k}")
     return PropertyResult("lowerbound-desk", len(cases), True)
 
 
-def check_split_enumeration_vs_bruteforce(rng: random.Random, trials: int) -> PropertyResult:
-    for t in range(trials):
-        n = rng.randint(1, 8)
-        r = rng.randint(0, 3)
-        g = random_graph(rng, n)
-        fast = bruteforce.explicit_members(splits_mod.enumerate_r_splits(g, r))
-        slow = bruteforce.brute_splits(g, r)
-        if fast != slow:
-            return PropertyResult(
-                "splits-vs-bruteforce", t + 1, False, f"n={n} r={r} g={g.edges()}"
-            )
-    return PropertyResult("splits-vs-bruteforce", trials, True)
+@_per_trial("splits-vs-bruteforce")
+def check_split_enumeration_vs_bruteforce(rng: random.Random) -> Failure:
+    n = rng.randint(1, 8)
+    r = rng.randint(0, 3)
+    g = random_graph(rng, n)
+    fast = bruteforce.explicit_members(splits_mod.enumerate_r_splits(g, r))
+    slow = bruteforce.brute_splits(g, r)
+    if fast != slow:
+        return "splits-vs-bruteforce", f"n={n} r={r} g={g.edges()}"
 
 
 # ---------------------------------------------------------------------------
 # Registry and runner
-
-Check = Callable[[random.Random, int], PropertyResult]
 
 # (tag, check, quick trials, full trials)
 REGISTRY: tuple[tuple[str, Check, int, int], ...] = (
@@ -641,7 +612,10 @@ def run_verification_suite(seed: int = 2024, profile: str = "quick") -> SuiteRep
     results = []
     for tag, check, quick_trials, full_trials in REGISTRY:
         trials = quick_trials if profile == "quick" else full_trials
-        results.append(check(property_rng(seed, tag), trials))
+        try:
+            results.append(check(property_rng(seed, tag), trials))
+        except Exception as exc:
+            results.append(PropertyResult(tag, 0, False, f"raised {type(exc).__name__}: {exc}"))
     return SuiteReport(seed=seed, profile=profile, results=tuple(results))
 
 

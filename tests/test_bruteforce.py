@@ -4,11 +4,15 @@ import ast
 import itertools
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import rsplits.bruteforce
+import rsplits.closure
 import rsplits.graph
+import rsplits.ortho
+from rsplits import cli
 from conftest import seeded_graphs
 from rsplits.bitset import VertexSet
 from rsplits.bruteforce import (
@@ -20,11 +24,14 @@ from rsplits.bruteforce import (
     brute_splits,
     explicit_members,
 )
-from rsplits.hypergraph import Hypergraph
+from rsplits.hypergraph import ClosedHypergraph, Hypergraph
 from rsplits.limits import TooLargeError
 from rsplits.verification import (
+    REGISTRY,
+    PropertyResult,
     _sorted_members,
     _split_pairs,
+    check_lower_bound_desk,
     check_submodularity,
     property_rng,
     random_closed_family,
@@ -240,6 +247,17 @@ class TestBrutePhiImage:
             brute_phi_image(members, 6, 1)
 
 
+def break_cut_rank(monkeypatch) -> None:
+    """Patch in a rank routine that undercounts dense cuts of even-sized sets."""
+    true_rank = rsplits.graph.cut_rank
+
+    def broken(g, x):
+        rank = true_rank(g, x)
+        return rank - 1 if rank >= 2 and len(x) % 2 == 0 else rank
+
+    monkeypatch.setattr(rsplits.graph, "cut_rank", broken)
+
+
 class TestVerificationSuite:
     def test_quick_profile_passes(self):
         report = run_verification_suite(seed=99, profile="quick")
@@ -262,16 +280,62 @@ class TestVerificationSuite:
     def test_broken_rank_is_caught(self, monkeypatch):
         # Fault injection: a rank routine that undercounts dense cuts must
         # surface as a submodularity counterexample.
-        true_rank = rsplits.graph.cut_rank
-
-        def broken(g, x):
-            rank = true_rank(g, x)
-            return rank - 1 if rank >= 2 and len(x) % 2 == 0 else rank
-
-        monkeypatch.setattr(rsplits.graph, "cut_rank", broken)
+        break_cut_rank(monkeypatch)
         result = check_submodularity(property_rng(0, "fault-injection"), 400)
         assert not result.passed
         assert result.detail    # names the counterexample triple
+        assert result.tag == "cutrank-submodular"
+        assert result.trials == 16
+
+    @pytest.mark.parametrize(
+        "seed, failures",
+        [
+            (2024, [("cutrank-vs-bruteforce", 3), ("cutrank-symmetry", 15),
+                    ("cutrank-submodular", 15), ("middle-rank-floor", 101)]),
+            (99, [("cutrank-vs-bruteforce", 1), ("cutrank-symmetry", 1),
+                  ("cutrank-submodular", 15), ("middle-rank-floor", 101)]),
+        ],
+    )
+    def test_broken_rank_fails_these_properties(self, monkeypatch, seed, failures):
+        # The failure path, pinned: each failing sub-tag with the trial that failed.
+        break_cut_rank(monkeypatch)
+        report = run_verification_suite(seed=seed, profile="quick")
+        assert [(res.tag, res.trials) for res in report.results if not res.passed] == failures
+
+    def test_a_check_that_raises_is_a_fail(self, monkeypatch, capsys):
+        # A close_full that drops one complement pair leaves a family that
+        # normalize refuses; the suite reports that and runs every property.
+        true_close_full = rsplits.closure.close_full
+
+        def broken(h, r):
+            closed = true_close_full(h, r)
+            if not closed.middles:
+                return closed
+            a = min(closed.middles, key=VertexSet.sort_key)
+            return ClosedHypergraph(closed.n, r, closed.middles - {a, a.complement()})
+
+        monkeypatch.setattr(rsplits.closure, "close_full", broken)
+        report = run_verification_suite(seed=2024)
+        assert len(report.results) == len(REGISTRY)
+        assert "FAIL normalize-idempotent raised NotClosedError: K2 violated by (5, 1,2,4)" in (
+            report.format_lines().splitlines()
+        )
+        assert cli.main(["verify", "--seed", "2024"]) == 1
+        assert "FAIL normalize-idempotent raised NotClosedError" in capsys.readouterr().out
+
+    def test_lowerbound_desk_counts_its_failing_case(self, monkeypatch):
+        def verify_lower_bound(params):
+            return SimpleNamespace(passed=(params.r, params.k) != (2, 3))
+
+        monkeypatch.setattr(rsplits.ortho, "verify_lower_bound", verify_lower_bound)
+        result = check_lower_bound_desk(property_rng(0, "lowerbound-desk"), 1)
+        assert result == PropertyResult("lowerbound-desk", 3, False, "r=2 k=3")
+
+    @pytest.mark.parametrize("tag, check", [(tag, check) for tag, check, *_ in REGISTRY])
+    def test_one_trial_passes_under_the_registry_tag(self, tag, check):
+        result = check(property_rng(0, tag), 1)
+        assert result.passed
+        assert result.tag == tag
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_split_pairs_match_a_full_cut_scan(self, r):

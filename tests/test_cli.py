@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rsplits
 from conftest import NINE_VERTEX_EDGES
 from rsplits.cli import main
 from rsplits.graph import GRAPH_FORMAT_HELP, format_graph, parse_graph
 from rsplits.hypergraph import HYPERGRAPH_FORMAT_HELP, equals, parse_closed, parse_hypergraph
 from rsplits.splits import enumerate_r_splits
+
+SRC = str(Path(rsplits.__file__).resolve().parent.parent)
 
 
 @pytest.fixture()
@@ -215,6 +222,34 @@ class TestOutputPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {tmp_path}: [Errno 21] ")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--seed", "99"], ["splits", "-g", "c6.txt", "-r", "2"]],
+        ids=["verify", "splits"],
+    )
+    def test_closed_reader_is_a_silent_exit_1(self, tmp_path, argv, unbuffered):
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails, whether it happens in print or in the final flush.
+        (tmp_path / "c6.txt").write_text("6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rsplits.cli", *argv], cwd=tmp_path,
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
 
 
 class TestBounds:
