@@ -32,6 +32,22 @@ def data_lines(text: str) -> list[tuple[int, str]]:
 _setattr = object.__setattr__
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask in ascending order, walking its set bits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical order of vertex sets, on masks: by cardinality, then by
+    ascending vertex list."""
+    return (mask.bit_count(), mask_members(mask))
+
+
 class Frozen:
     """Base of the immutable value types.
 
@@ -134,13 +150,7 @@ class VertexSet(Frozen):
 
     def members(self) -> tuple[int, ...]:
         """The vertices in ascending order."""
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length())
-            mask ^= low
-        return tuple(out)
+        return mask_members(self.mask)
 
     def __str__(self) -> str:
         if not self.mask:
@@ -180,8 +190,8 @@ class VertexSet(Frozen):
         return self.mask & ~other.mask == 0
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical order: by cardinality, then by ascending vertex list."""
-        return (self.mask.bit_count(), self.members())
+        """Canonical order: see mask_sort_key."""
+        return mask_sort_key(self.mask)
 
 
 def rank_of_rows(rows: Iterable[int]) -> int:

@@ -25,7 +25,7 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
         raise ValueError("r must be >= 0")
     n = h.n
     full = (1 << n) - 1
-    order = middles_and_complements(n, r, (edge.mask for edge in h.edges))
+    order = middles_and_complements(n, r, h.masks)
     seen = set(order)
     for i, a in enumerate(order):
         for b in islice(order, i):
@@ -42,7 +42,7 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
 
 def close_degenerate(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Least family containing h that is closed under K0 and K1 only."""
-    return closed_from_masks(h.n, r, (edge.mask for edge in h.edges))
+    return closed_from_masks(h.n, r, h.masks)
 
 
 def check_derived_rules(h: ClosedHypergraph) -> list[str]:

@@ -1,9 +1,11 @@
 """Hyperedge families over {1..n}: explicit, and closed-canonical.
 
-A closed family is stored as its "middle" hyperedges only, those A with
-r < |A| < n-r.  Every set of size <= r or >= n-r belongs to every closed
-family (it is the closure of the empty family), so that part stays
-implicit and exponentially large families remain representable.
+Both kinds hold their sets as int masks (vertex i is bit i-1) and build
+VertexSet views of them only on first use.  A closed family is stored as
+its "middle" hyperedges only, those A with r < |A| < n-r.  Every set of
+size <= r or >= n-r belongs to every closed family (it is the closure of
+the empty family), so that part stays implicit and exponentially large
+families remain representable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 from typing import Iterable, Iterator
 
 from . import limits
-from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, parse_int
+from .bitset import (
+    Frozen, VertexSet, _check_universe, _setattr, data_lines, mask_sort_key, parse_int,
+)
 
 
 class NotClosedError(ValueError):
@@ -24,20 +28,41 @@ class NotClosedError(ValueError):
 class Hypergraph(Frozen):
     """An explicit, deduplicated family of vertex sets over {1..n}."""
 
-    __slots__ = _fields = ("n", "edges")
+    _fields = ("n", "edges")  # the constructor's arguments: repr, equality, pickling
+    __slots__ = ("n", "masks", "__dict__")  # __dict__ caches edges
     n: int
-    edges: frozenset[VertexSet]
+    masks: frozenset[int]
 
     def __init__(self, n: int, edges: frozenset[VertexSet]) -> None:
+        self.__dict__["edges"] = edges  # seeds the cached view
+        self._set(n, frozenset(edge.mask for edge in edges))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: frozenset[int]) -> Hypergraph:
+        """The family of the sets with these masks; validated like any other."""
+        h = cls.__new__(cls)
+        h._set(n, masks)
+        return h
+
+    def _set(self, n: int, masks: frozenset[int]) -> None:
         _setattr(self, "n", n)
-        _setattr(self, "edges", edges)
+        _setattr(self, "masks", masks)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _check_universe(self.n)
-        for edge in self.edges:
-            if edge.n != self.n:
-                raise ValueError(f"edge over universe {edge.n} in hypergraph over {self.n}")
+        n = self.n
+        _check_universe(n)
+        for x in self.masks:
+            if x >> n:
+                raise ValueError(f"edge mask {x:#x} has bits outside a universe of size {n}")
+        for edge in self.__dict__.get("edges", ()):  # the public constructor's VertexSets
+            if edge.n != n:
+                raise ValueError(f"edge over universe {edge.n} in hypergraph over {n}")
+
+    @functools.cached_property
+    def edges(self) -> frozenset[VertexSet]:
+        """The edges as VertexSets, built from the int masks `masks` on first use."""
+        return frozenset(VertexSet(self.n, x) for x in self.masks)
 
     @classmethod
     def of_vertex_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> Hypergraph:
@@ -47,17 +72,13 @@ class Hypergraph(Frozen):
         return sorted(self.edges, key=VertexSet.sort_key)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.masks)
 
     def __contains__(self, edge: VertexSet) -> bool:
-        return edge in self.edges
+        return isinstance(edge, VertexSet) and edge.n == self.n and edge.mask in self.masks
 
     def __iter__(self) -> Iterator[VertexSet]:
         return iter(self.sorted_edges())
-
-
-def is_middle(n: int, r: int, a: VertexSet) -> bool:
-    return r < len(a) < n - r
 
 
 def trivial_closure_size(n: int, r: int) -> int:
@@ -148,14 +169,12 @@ class ClosedHypergraph(Frozen):
                 f"materialized family would have {total} members (limit {limit})"
             )
         n = self.n
-        edges = set(self.middles)
+        masks = set(self.masks)
         bits = [1 << i for i in range(n)]
         for size in range(n + 1):
             if size <= self.r or size >= n - self.r:
-                edges.update(
-                    VertexSet(n, sum(combo)) for combo in itertools.combinations(bits, size)
-                )
-        return Hypergraph(n, frozenset(edges))
+                masks.update(map(sum, itertools.combinations(bits, size)))
+        return Hypergraph._from_masks(n, frozenset(masks))
 
 
 def middles_and_complements(n: int, r: int, masks: Iterable[int]) -> list[int]:
@@ -189,21 +208,20 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
         raise ValueError("r must be >= 0")
     n = h.n
     expected_trivial = trivial_closure_size(n, r)
-    middles = frozenset(a for a in h.edges if is_middle(n, r, a))
-    if len(h.edges) - len(middles) != expected_trivial:
+    middles = frozenset(x for x in h.masks if r < x.bit_count() < n - r)
+    if len(h.masks) - len(middles) != expected_trivial:
         raise NotClosedError(
-            f"trivial part incomplete: {len(h.edges) - len(middles)} of "
+            f"trivial part incomplete: {len(h.masks) - len(middles)} of "
             f"{expected_trivial} sets with size <= {r} or >= {n - r} present"
         )
-    closed = ClosedHypergraph(n, r, middles)  # raises on a missing complement (K1)
-    middle_list = closed.sorted_middles()
-    order = [a.mask for a in middle_list]
+    closed = ClosedHypergraph._from_masks(n, r, middles)  # raises on a missing complement (K1)
+    order = sorted(middles, key=mask_sort_key)
     for i, a in enumerate(order):
-        for j, b in enumerate(itertools.islice(order, i + 1, None), i + 1):
+        for b in itertools.islice(order, i + 1, None):
             if (a & b).bit_count() >= r:
                 union = a | b
-                if union.bit_count() < n - r and union not in closed.masks:
-                    raise NotClosedError(f"K2 violated by ({middle_list[i]}, {middle_list[j]})")
+                if union.bit_count() < n - r and union not in middles:
+                    raise NotClosedError(f"K2 violated by ({VertexSet(n, a)}, {VertexSet(n, b)})")
     return closed
 
 
@@ -281,7 +299,7 @@ def parse_closed(text: str) -> ClosedHypergraph:
     body = [(k, ln) for k, ln in data[2:] if ln != _IMPLICIT_MARKER]
     middles = _parse_sets(n, body)
     for (k, line), a in zip(body, middles):
-        if not is_middle(n, r, a):
+        if not r < len(a) < n - r:
             raise ValueError(f"line {k}: {line!r} has size {len(a)}, outside the middle zone")
     masks = {a.mask for a in middles}
     for (k, line), a in zip(body, middles):

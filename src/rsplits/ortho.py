@@ -12,11 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from . import limits
-from .bitset import Frozen, VertexSet, _check_universe, _setattr
-from .closure import close_degenerate, close_full
-from .hypergraph import ClosedHypergraph, Hypergraph, equals, is_middle
-from .splits import essential_representation
+from . import closure, limits, splits
+from .bitset import Frozen, VertexSet, _check_universe, _setattr, mask_sort_key
+from .hypergraph import ClosedHypergraph, Hypergraph, equals
 
 
 def _orthogonal_sizes(n: int, size_a: int, size_b: int, inter: int, r: int) -> bool:
@@ -51,20 +49,19 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
     if a.n != b.n:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
     pair = Hypergraph(a.n, frozenset({a, b}))
-    return equals(close_full(pair, r), close_degenerate(pair, r))
+    return equals(closure.close_full(pair, r), closure.close_degenerate(pair, r))
 
 
 def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, VertexSet]]:
     """First non-orthogonal pair in canonical order, or None."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    edges = h.sorted_edges()
     n = h.n
-    sized = [(edge.mask, edge.mask.bit_count()) for edge in edges]
+    sized = [(x, x.bit_count()) for x in sorted(h.masks, key=mask_sort_key)]
     for i, (a, size_a) in enumerate(sized):
-        for j, (b, size_b) in enumerate(itertools.islice(sized, i, None), i):
+        for b, size_b in itertools.islice(sized, i, None):
             if not _orthogonal_sizes(n, size_a, size_b, (a & b).bit_count(), r):
-                return (edges[i], edges[j])
+                return (VertexSet(n, a), VertexSet(n, b))
     return None
 
 
@@ -85,7 +82,7 @@ def cross_free_closure(h: Hypergraph, r: int) -> ClosedHypergraph:
     if crossing is not None:
         a, b = crossing
         raise NotCrossFreeError(f"input is not {r}-cross-free: {a} and {b} cross")
-    return close_degenerate(h, r)
+    return closure.close_degenerate(h, r)
 
 
 class CrossFreeBoundsReport(NamedTuple):
@@ -112,14 +109,14 @@ class CrossFreeBoundsReport(NamedTuple):
 def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
     """Check both size laws for a cross-free family with exact arithmetic."""
     closed = cross_free_closure(h, r)
-    middle_edges = sum(1 for edge in h.edges if is_middle(h.n, r, edge))
+    middle_edges = sum(1 for x in h.masks if r < x.bit_count() < h.n - r)
     closure_middles = len(closed.masks)
     closure_total = closed.member_count()
-    closure_cap = 2 * (r + 1) * h.n**r + 2 * len(h.edges)
+    closure_cap = 2 * (r + 1) * h.n**r + 2 * len(h.masks)
     return CrossFreeBoundsReport(
         n=h.n,
         r=r,
-        edge_count=len(h.edges),
+        edge_count=len(h.masks),
         middle_edges=middle_edges,
         closure_middles=closure_middles,
         closure_total=closure_total,
@@ -212,8 +209,8 @@ def verify_lower_bound(p: FamilyParams) -> LowerBoundReport:
     limits.check_cap(p.n, limits.exhaustive_cap(), "lower-bound pipeline")
     family = build_family(p)
     closed = cross_free_closure(family, p.r)
-    essential = essential_representation(closed)
-    rebuilt = close_full(essential, p.r)
+    essential = splits.essential_representation(closed)
+    rebuilt = closure.close_full(essential, p.r)
     return LowerBoundReport(
         r=p.r,
         k=p.k,

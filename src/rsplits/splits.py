@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from . import limits
+from . import closure, limits
 from .bitset import VertexSet
-from .closure import close_full
 from .graph import Graph, low_rank_cuts
 from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, closed_from_masks, equals
 
@@ -110,7 +109,7 @@ def verify_representation(g: Graph, r: int) -> RoundTripReport:
     """
     family = rank_connected_splits(g, r)
     essential = essential_representation(family)
-    rebuilt = close_full(essential, r)
+    rebuilt = closure.close_full(essential, r)
     return RoundTripReport(
         n=g.n,
         r=r,

@@ -11,13 +11,14 @@ engine may, is reported as a FAIL line and the suite goes on.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from typing import Callable, NamedTuple, Optional
 
 from . import bruteforce, closure as closure_mod, graph as graph_mod, ortho as ortho_mod
 from . import splits as splits_mod
-from .bitset import VertexSet, rank_of_rows
+from .bitset import VertexSet, mask_sort_key, rank_of_rows
 from .graph import Graph
 from .hypergraph import (
     ClosedHypergraph,
@@ -128,12 +129,19 @@ def _rank_connected_pool(rng: random.Random, r: int, count: int) -> list[Graph]:
     return pool
 
 
-def _sorted_members(closed: ClosedHypergraph) -> list[VertexSet]:
-    """The oracle's members in VertexSet.sort_key order: by size, then by
-    ascending vertex list."""
-    lists = sorted(sorted(m) for m in bruteforce.explicit_members(closed))
-    lists.sort(key=len)
-    return [VertexSet.of(closed.n, vertices) for vertices in lists]
+def _sorted_members(closed: ClosedHypergraph) -> list[int]:
+    """The member masks in VertexSet.sort_key order: by size, then by
+    ascending vertex list.  Each trivial size comes from combinations of
+    the bits, which yield that order; the middles sit between."""
+    n, r = closed.n, closed.r
+    bits = [1 << i for i in range(n)]
+    members: list[int] = []
+    for size in range(n + 1):
+        if size <= r or size >= n - r:
+            members.extend(map(sum, itertools.combinations(bits, size)))
+        elif size == r + 1:
+            members.extend(sorted(closed.masks, key=mask_sort_key))
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +241,14 @@ def check_submodularity(rng: random.Random) -> Failure:
     rhs = graph_mod.cut_rank(g, x) + graph_mod.cut_rank(g, y)
     if lhs > rhs:
         return "cutrank-submodular", f"g={g.edges()} X={x} Y={y}: {lhs} > {rhs}"
-def _split_pairs(g: Graph, r: int) -> list[tuple[VertexSet, VertexSet]]:
-    """Pairs (X, Y) of r-splits of g (n >= 1), X <= Y by mask, with |X & Y| >= r."""
+
+
+def _split_pairs(g: Graph, r: int) -> list[tuple[int, int]]:
+    """Mask pairs (X, Y) of r-splits of g (n >= 1), X <= Y, with |X & Y| >= r."""
     full = (1 << g.n) - 1
     sides = [mask for mask, _ in graph_mod.low_rank_cuts(g, r)]
-    splits = [VertexSet(g.n, mask) for mask in sorted(sides + [m ^ full for m in sides])]
-    return [
-        (x, y)
-        for i, x in enumerate(splits)
-        for y in splits[i:]
-        if (x.mask & y.mask).bit_count() >= r
-    ]
+    splits = sorted(sides + [m ^ full for m in sides])
+    return [(x, y) for i, x in enumerate(splits) for y in splits[i:] if (x & y).bit_count() >= r]
 
 
 def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
@@ -256,7 +261,8 @@ def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
         for _ in range(per_r):
             g, pairs = candidates[rng.randrange(len(candidates))]
             x, y = pairs[rng.randrange(len(pairs))]
-            if not graph_mod.is_r_split(g, x | y, r):
+            if not graph_mod.is_r_split(g, VertexSet(g.n, x | y), r):
+                x, y = VertexSet(g.n, x), VertexSet(g.n, y)
                 return PropertyResult(
                     "split-union", done + 1, False, f"r={r} g={g.edges()} X={x} Y={y}"
                 )
@@ -376,16 +382,16 @@ def check_chain_union(rng: random.Random) -> Failure:
     members = _sorted_members(closed)
     chain = [members[rng.randrange(len(members))]]
     for _ in range(rng.randint(0, 3)):
-        last = chain[-1].mask
-        linked = [m for m in members if (m.mask & last).bit_count() >= r]
+        last = chain[-1]
+        linked = [m for m in members if (m & last).bit_count() >= r]
         if not linked:
             break
         chain.append(linked[rng.randrange(len(linked))])
-    union = chain[0]
-    for a in chain[1:]:
-        union = union | a
-    if not closed.contains(union):
-        return "chain-union", f"n={n} r={r} chain={[str(c) for c in chain]}"
+    union = 0
+    for a in chain:
+        union |= a
+    if not closed.contains(VertexSet(n, union)):
+        return "chain-union", f"n={n} r={r} chain={[str(VertexSet(n, c)) for c in chain]}"
 
 
 @_per_trial("half-side-intersection")
@@ -393,11 +399,11 @@ def check_half_side_intersection(rng: random.Random) -> Failure:
     r = rng.randint(1, 3)
     n = rng.randint(3, 9)
     closed = random_closed_family(rng, n, r)
-    halves = [m for m in _sorted_members(closed) if 2 * len(m) <= n]
+    halves = [m for m in _sorted_members(closed) if 2 * m.bit_count() <= n]
     a = halves[rng.randrange(len(halves))]
     b = halves[rng.randrange(len(halves))]
-    if not closed.contains(a & b):
-        return "half-side-intersection", f"n={n} r={r} A={a} B={b}"
+    if not closed.contains(VertexSet(n, a & b)):
+        return "half-side-intersection", f"n={n} r={r} A={VertexSet(n, a)} B={VertexSet(n, b)}"
 
 
 def _random_pair(rng: random.Random, n: int) -> tuple[VertexSet, VertexSet]:
@@ -503,6 +509,7 @@ def check_crossfree_transfer(rng: random.Random) -> Failure:
     after = ortho_mod.is_cross_free(closure_mod.close_full(h, r).materialize(), r)
     if before != after:
         return "crossfree-transfer", f"n={n} r={r} edges={[str(e) for e in h]}: {before} vs {after}"
+
 
 def check_essential_roundtrip(rng: random.Random, trials: int) -> PropertyResult:
     done = 0

@@ -14,7 +14,7 @@ import rsplits.graph
 import rsplits.ortho
 from rsplits import cli
 from conftest import seeded_graphs
-from rsplits.bitset import VertexSet
+from rsplits.bitset import VertexSet, mask_sort_key
 from rsplits.bruteforce import (
     brute_closure,
     brute_cut_rank,
@@ -31,6 +31,8 @@ from rsplits.verification import (
     PropertyResult,
     _sorted_members,
     _split_pairs,
+    check_chain_union,
+    check_half_side_intersection,
     check_lower_bound_desk,
     check_submodularity,
     property_rng,
@@ -258,6 +260,18 @@ def break_cut_rank(monkeypatch) -> None:
     monkeypatch.setattr(rsplits.graph, "cut_rank", broken)
 
 
+TRUE_CLOSE_FULL = rsplits.closure.close_full
+
+
+def drop_one_complement_pair(h: Hypergraph, r: int) -> ClosedHypergraph:
+    """close_full with its first middle and that middle's complement left out."""
+    closed = TRUE_CLOSE_FULL(h, r)
+    if not closed.middles:
+        return closed
+    a = min(closed.middles, key=VertexSet.sort_key)
+    return ClosedHypergraph(closed.n, r, closed.middles - {a, a.complement()})
+
+
 class TestVerificationSuite:
     def test_quick_profile_passes(self):
         report = run_verification_suite(seed=99, profile="quick")
@@ -305,16 +319,7 @@ class TestVerificationSuite:
     def test_a_check_that_raises_is_a_fail(self, monkeypatch, capsys):
         # A close_full that drops one complement pair leaves a family that
         # normalize refuses; the suite reports that and runs every property.
-        true_close_full = rsplits.closure.close_full
-
-        def broken(h, r):
-            closed = true_close_full(h, r)
-            if not closed.middles:
-                return closed
-            a = min(closed.middles, key=VertexSet.sort_key)
-            return ClosedHypergraph(closed.n, r, closed.middles - {a, a.complement()})
-
-        monkeypatch.setattr(rsplits.closure, "close_full", broken)
+        monkeypatch.setattr(rsplits.closure, "close_full", drop_one_complement_pair)
         report = run_verification_suite(seed=2024)
         assert len(report.results) == len(REGISTRY)
         assert "FAIL normalize-idempotent raised NotClosedError: K2 violated by (5, 1,2,4)" in (
@@ -341,20 +346,65 @@ class TestVerificationSuite:
     def test_split_pairs_match_a_full_cut_scan(self, r):
         for g in seeded_graphs(53 + r, range(1, 10), 4):
             splits = [
-                VertexSet(g.n, mask)
+                mask
                 for mask in range(1 << g.n)
                 if brute_cut_rank(g, frozenset(VertexSet(g.n, mask).members())) <= r
             ]
-            naive = [(x, y) for i, x in enumerate(splits) for y in splits[i:] if len(x & y) >= r]
+            naive = [
+                (x, y)
+                for i, x in enumerate(splits)
+                for y in splits[i:]
+                if len(VertexSet(g.n, x) & VertexSet(g.n, y)) >= r
+            ]
             assert _split_pairs(g, r) == naive, (r, g.edges())
+
+    @staticmethod
+    def oracle_members(closed: ClosedHypergraph) -> list[int]:
+        """The masks of the oracle's expansion, in VertexSet.sort_key order."""
+        expanded = (VertexSet.of(closed.n, sorted(m)) for m in explicit_members(closed))
+        return [a.mask for a in sorted(expanded, key=VertexSet.sort_key)]
 
     def test_sorted_members_in_sort_key_order(self):
         rng = random.Random(61)
         for _ in range(80):
             n = rng.randint(1, 9)
             closed = random_closed_family(rng, n, rng.randint(0, 3))
-            expected = sorted(
-                (VertexSet.of(n, sorted(m)) for m in explicit_members(closed)),
-                key=VertexSet.sort_key,
-            )
-            assert _sorted_members(closed) == expected
+            assert _sorted_members(closed) == self.oracle_members(closed), (n, closed.r)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_sorted_members_of_small_universes(self, n, r):
+        # n = 0 and 1, and every n <= 2r + 1, where the middle zone is empty.
+        closed = ClosedHypergraph(n, r, frozenset())
+        members = _sorted_members(closed)
+        assert members == self.oracle_members(closed)
+        assert len(members) == closed.member_count()
+        if n <= 2 * r + 1:
+            assert members == [a.mask for a in sorted(
+                (VertexSet(n, mask) for mask in range(1 << n)), key=VertexSet.sort_key)]
+
+    def test_contains_rejecting_one_middle_fails_the_member_checks(self, monkeypatch):
+        # A contains that misses the first middle of each family in canonical
+        # order must surface in both checks that draw from the member list,
+        # at their full-profile trial counts.
+        true_contains = ClosedHypergraph.contains
+
+        def broken(self, a):
+            if self.masks and a.mask == min(self.masks, key=mask_sort_key):
+                return False
+            return true_contains(self, a)
+
+        monkeypatch.setattr(ClosedHypergraph, "contains", broken)
+        chain = check_chain_union(property_rng(2024, "chain-union"), 1000)
+        assert chain == PropertyResult("chain-union", 259, False, "n=5 r=1 chain=['4,5']")
+        halves = check_half_side_intersection(property_rng(2024, "half-side-intersection"), 1000)
+        assert halves == PropertyResult(
+            "half-side-intersection", 377, False, "n=9 r=1 A=3,4,6 B=3,4,6"
+        )
+
+    def test_closure_fault_reaches_essential_roundtrip(self, monkeypatch):
+        # The round trip runs close_full through its module, so a broken
+        # closure injected there is the one it uses.
+        monkeypatch.setattr(rsplits.closure, "close_full", drop_one_complement_pair)
+        report = run_verification_suite(seed=2024)
+        assert "FAIL essential-roundtrip r=1 g=" in report.format_lines()

@@ -332,7 +332,7 @@ class TestVerify:
 
 class TestGraphParsing:
     def test_graph_output_reparses(self, nine_vertex_file, nine_vertex_graph):
-        text = open(nine_vertex_file).read()
+        text = Path(nine_vertex_file).read_text(encoding="utf-8")
         assert parse_graph(text) == nine_vertex_graph
         assert sorted(parse_graph(text).edges()) == sorted(NINE_VERTEX_EDGES)
 

@@ -182,6 +182,43 @@ class TestMaterialize:
             family.materialize()
 
 
+class TestMaskStorage:
+    def test_from_masks_equals_the_public_construction(self):
+        edges = frozenset(VertexSet.of(6, m) for m in [(), (1, 2), (2, 5, 6), (1, 2, 3, 4, 5, 6)])
+        public = Hypergraph(6, edges)
+        private = Hypergraph._from_masks(6, frozenset(a.mask for a in edges))
+        assert private == public and hash(private) == hash(public)
+        assert private.masks == public.masks and private.edges == edges
+        assert repr(private) == repr(public)
+        assert private.sorted_edges() == public.sorted_edges()
+
+    def test_membership_and_size_read_the_masks(self):
+        h = Hypergraph._from_masks(4, frozenset({0b0011, 0b1100}))
+        assert len(h) == 2 and "edges" not in vars(h)
+        assert VertexSet.of(4, [1, 2]) in h
+        assert VertexSet.of(4, [1, 3]) not in h
+        assert VertexSet.of(5, [1, 2]) not in h
+        assert 3 not in h
+
+    @pytest.mark.parametrize("mask", [1 << 3, 0b10110, -1])
+    def test_out_of_universe_mask_raises_from_post_init(self, mask):
+        with pytest.raises(ValueError, match="outside a universe of size 3") as excinfo:
+            Hypergraph._from_masks(3, frozenset({1, mask}))
+        assert any(entry.name == "__post_init__" for entry in excinfo.traceback)
+
+    def test_materialize_equals_the_vertex_set_expansion(self):
+        rng = random.Random(29)
+        for n in range(0, 10):
+            for r in range(4):
+                closed = random_closed_family(rng, n, r)
+                edges = set(closed.middles)
+                for size in range(n + 1):
+                    if size <= r or size >= n - r:
+                        edges.update(VertexSet.of(n, c)
+                                     for c in itertools.combinations(range(1, n + 1), size))
+                assert closed.materialize() == Hypergraph(n, frozenset(edges)), (n, r)
+
+
 class TestConstructionInvariants:
     def test_middle_zone_enforced(self):
         with pytest.raises(ValueError, match="middle zone"):

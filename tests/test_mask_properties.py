@@ -1,5 +1,5 @@
-"""Property-based checks that a closed family's int-mask storage agrees with
-its VertexSet view, with the naive definitions and with the brute-force
+"""Property-based checks that the families' int-mask storage agrees with
+their VertexSet views, with the naive definitions and with the brute-force
 closure oracle, for n <= 8 and r <= 3."""
 
 from __future__ import annotations
@@ -21,6 +21,17 @@ def families(draw) -> tuple[Hypergraph, int]:
     r = draw(st.integers(0, 3))
     masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=5))
     return Hypergraph(n, frozenset(VertexSet(n, mask) for mask in masks)), r
+
+
+@settings(deadline=None)
+@given(families())
+def test_edges_and_masks_round_trip(family):
+    h, _ = family
+    assert {edge.mask for edge in h.edges} == h.masks
+    twin = Hypergraph._from_masks(h.n, h.masks)
+    assert twin == h and twin.edges == h.edges
+    assert Hypergraph(h.n, twin.edges).masks == h.masks
+    assert all(edge in twin for edge in h.edges) and len(twin) == len(h.edges)
 
 
 @settings(deadline=None)
