@@ -1,13 +1,12 @@
 """Brute-force reference implementations, kept deliberately naive.
 
 Naive here means literal: each rule is applied as written over all 2^n
-subsets, trivial ones included, with no middle-zone filter and no lemma
-from the paper.  The oracles share no code with the engines they
-cross-check and keep their own encodings: dense 0/1 row lists for ranks,
-and for the closure n-bit ints that `brute_closure` builds itself from
-vertex labels (label v is bit `1 << (v - 1)`), decoded back to frozensets
-of labels before they are returned.  Speed is a non-goal; the one saving
-taken is that the closure never retries a pair (see `brute_closure`).
+subsets, trivial ones included, with no lemma from the paper.  The oracles
+share no code with the engines and keep their own encodings: n-bit ints
+built here from vertex labels (label v is bit v - 1), returned as
+frozensets of labels.  A rank is log2 of the size of the row space, so a
+cut of rank k costs at most |X| * 2^k steps.  Speed is a non-goal; the
+closure never retries a pair, and the last graph's neighbour ints are kept.
 """
 
 from __future__ import annotations
@@ -30,26 +29,19 @@ def brute_closure(h: Hypergraph, r: int, use_rule_k2: bool = True) -> set[frozen
     since the last sweep with every member already paired and with each
     other.  The family only grows, so the union of a pair tried in an
     earlier sweep is still in it.
-
-    The loop runs on n-bit ints encoded here from the edges' vertex labels
-    (label v is bit v - 1); the result is decoded to frozensets of labels.
     """
     limits.check_cap(h.n, limits.oracle_cap(), "brute-force closure")
     bits = [1 << (v - 1) for v in range(1, h.n + 1)]
     universe = (1 << h.n) - 1
     family: set[int] = {sum(bits[v - 1] for v in edge.members()) for edge in h.edges}
     for size in range(r + 1):
-        for combo in itertools.combinations(bits, size):
-            family.add(sum(combo))
+        family.update(sum(combo) for combo in itertools.combinations(bits, size))
     paired: list[int] = []  # members already paired with one another
     changed = True
     while changed:
-        changed = False
-        for a in list(family):
-            comp = universe ^ a
-            if comp not in family:
-                family.add(comp)
-                changed = True
+        complements = {universe ^ a for a in family} - family
+        changed = bool(complements)
+        family |= complements
         if use_rule_k2:
             for a in list(family.difference(paired)):
                 for b in paired:
@@ -59,67 +51,75 @@ def brute_closure(h: Hypergraph, r: int, use_rule_k2: bool = True) -> set[frozen
                             family.add(union)
                             changed = True
                 paired.append(a)
-    return {frozenset(v for v, bit in enumerate(bits, 1) if a & bit) for a in family}
+    return {frozenset(_labels(a)) for a in family}
+
+
+def _labels(a: int):
+    """The labels of the set bits of a, lowest first (bit v - 1 is label v)."""
+    while a:
+        low = a & -a
+        yield low.bit_length()
+        a ^= low
+
+
+def _row_space_rank(rows: list[int]) -> int:
+    """GF(2) rank by definition: log2 of the size of the row space, grown one row at a time."""
+    space = {0}
+    for row in rows:
+        if row not in space:
+            space |= {s ^ row for s in space}
+    return len(space).bit_length() - 1
 
 
 def brute_rank(rows: list[list[int]]) -> int:
-    """Textbook GF(2) Gaussian elimination on a dense 0/1 row list."""
-    if not rows:
-        return 0
-    work = [row[:] for row in rows]
-    n_cols = len(work[0])
-    rank = 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(pivot_row, len(work)):
-            if work[i][col] == 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        for i in range(len(work)):
-            if i != pivot_row and work[i][col] == 1:
-                work[i] = [x ^ y for x, y in zip(work[i], work[pivot_row])]
-        rank += 1
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return rank
+    """GF(2) rank of a dense 0/1 row list, each row packed into an int (entry j is bit j)."""
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(rows[0]) or not set(row) <= {0, 1}:
+            raise ValueError(f"row {i} is not a 0/1 row of {len(rows[0])} entries: {row}")
+    return _row_space_rank([sum(bit << j for j, bit in enumerate(row)) for row in rows])
+
+
+_last_graph: list = [(None, None)]  # (graph, neighbour ints) of the last cut ranked
 
 
 def brute_cut_rank(g: Graph, x_vertices: frozenset[int]) -> int:
-    """Cut rank via an explicitly extracted dense submatrix."""
-    others = [v for v in range(1, g.n + 1) if v not in x_vertices]
-    rows = []
-    for u in sorted(x_vertices):
-        rows.append([(g.adj[u - 1] >> (v - 1)) & 1 for v in others])
-    return brute_rank(rows)
+    """Cut rank of (X, V - X) on X's neighbour ints cut to V - X; a label outside 1..n is refused.
+    The ints come from g's edge labels and are kept: callers rank one graph's cuts in a row."""
+    graph, nbr = _last_graph[0]
+    if graph is not g:
+        nbr = [0] * (g.n + 1)
+        for u, v in g.edges():
+            nbr[u] |= 1 << (v - 1)
+            nbr[v] |= 1 << (u - 1)
+        _last_graph[0] = g, nbr
+    inside = 0
+    for u in x_vertices:
+        if not 1 <= u <= g.n:
+            raise ValueError(f"vertex {u} is outside 1..{g.n}")
+        inside |= 1 << (u - 1)
+    return _row_space_rank([nbr[u] & ~inside for u in x_vertices])
+
+
+def _all_sides(n: int):
+    """Every subset of the labels 1..n, as a frozenset, by size."""
+    for size in range(n + 1):
+        yield from map(frozenset, itertools.combinations(range(1, n + 1), size))
 
 
 def brute_splits(g: Graph, r: int) -> set[frozenset[int]]:
     """All r-splits, found by ranking every one of the 2^n cuts."""
     limits.check_cap(g.n, limits.oracle_cap(), "brute-force split enumeration")
-    out = set()
-    vertices = list(range(1, g.n + 1))
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(vertices, size):
-            side = frozenset(combo)
-            if brute_cut_rank(g, side) <= r:
-                out.add(side)
-    return out
+    return {side for side in _all_sides(g.n) if brute_cut_rank(g, side) <= r}
 
 
 def brute_rank_connected(g: Graph, r: int) -> bool:
     """r-rank connectivity by its definition: no cut of rank below r is
     nontrivial, that is, of rank below the size of its smaller side."""
     limits.check_cap(g.n, limits.oracle_cap(), "brute-force rank connectivity")
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(range(1, g.n + 1), size):
-            rank = brute_cut_rank(g, frozenset(combo))
-            if rank < r and rank != min(size, g.n - size):
-                return False
+    for side in _all_sides(g.n):
+        rank = brute_cut_rank(g, side)
+        if rank < r and rank != min(len(side), g.n - len(side)):
+            return False
     return True
 
 

@@ -13,7 +13,7 @@ import rsplits.closure
 import rsplits.graph
 import rsplits.ortho
 from rsplits import cli
-from conftest import seeded_graphs
+from conftest import all_graphs, seeded_graphs
 from rsplits.bitset import VertexSet, mask_sort_key
 from rsplits.bruteforce import (
     brute_closure,
@@ -158,7 +158,8 @@ class TestBruteClosureByDefinition:
 class TestOracleIndependence:
     """The oracles share no code with the engines: `bruteforce.py` imports
     nothing beyond the value types and the caps, and never reads the int
-    masks the engines store, so its encodings are its own."""
+    masks the engines store (`mask`, `masks`, a graph's `adj` rows), so its
+    encodings are its own."""
 
     TREE = ast.parse(pathlib.Path(rsplits.bruteforce.__file__).read_text(encoding="utf-8"))
 
@@ -182,12 +183,12 @@ class TestOracleIndependence:
         reads = [
             (node.lineno, node.attr)
             for node in ast.walk(self.TREE)
-            if isinstance(node, ast.Attribute) and node.attr in ("mask", "masks")
+            if isinstance(node, ast.Attribute) and node.attr in ("mask", "masks", "adj")
         ]
         getattr_names = [
             (node.lineno, node.value)
             for node in ast.walk(self.TREE)
-            if isinstance(node, ast.Constant) and node.value in ("mask", "masks")
+            if isinstance(node, ast.Constant) and node.value in ("mask", "masks", "adj")
         ]
         assert (reads, getattr_names) == ([], [])
 
@@ -205,6 +206,78 @@ class TestBruteRank:
 
     def test_cut_rank_on_nine_vertex_graph(self, nine_vertex_graph):
         assert brute_cut_rank(nine_vertex_graph, frozenset({1, 2, 3, 4, 5})) == 2
+
+    @pytest.mark.parametrize("rows", [[[1], [1, 1]], [[1, 0], [0, 2]]])
+    def test_ragged_or_non_binary_rows_are_refused(self, rows):
+        with pytest.raises(ValueError, match=rf"row 2 is not a 0/1 row of {len(rows[0])} entries"):
+            brute_rank(rows)
+
+    @pytest.mark.parametrize("label", [0, -1, 4])
+    def test_label_outside_the_graph_is_refused(self, label):
+        path = rsplits.graph.Graph.from_edges(3, [(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=rf"vertex {label} is outside 1\.\.3"):
+            brute_cut_rank(path, frozenset({label}))
+
+
+def transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(column) for column in zip(*rows)]
+
+
+def all_matrices(max_rows: int, max_cols: int):
+    """Every 0/1 matrix with 1..max_rows rows and 1..max_cols columns."""
+    for n_rows in range(1, max_rows + 1):
+        for n_cols in range(1, max_cols + 1):
+            for code in range(1 << (n_rows * n_cols)):
+                yield [[code >> (i * n_cols + j) & 1 for j in range(n_cols)] for i in range(n_rows)]
+
+
+def seeded_matrices(seed: int, count: int, max_side: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_rows, n_cols = rng.randint(1, max_side), rng.randint(1, max_side)
+        yield [[rng.getrandbits(1) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+class TestBruteRankByDefinition:
+    """brute_rank and brute_cut_rank read against the laws of rank over GF(2),
+    not against the engine's elimination."""
+
+    def test_rank_of_transpose_on_every_small_matrix(self):
+        for rows in all_matrices(3, 4):
+            assert brute_rank(rows) == brute_rank(transpose(rows)), rows
+
+    def test_rank_of_transpose_on_seeded_matrices(self):
+        for rows in seeded_matrices(89, 400, 7):
+            assert brute_rank(rows) == brute_rank(transpose(rows)), rows
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_identity_has_full_rank(self, k):
+        assert brute_rank([[int(i == j) for j in range(k)] for i in range(k)]) == k
+
+    def test_zero_row_and_row_sums_leave_the_rank(self):
+        rng = random.Random(97)
+        for rows in itertools.chain(all_matrices(3, 3), seeded_matrices(101, 300, 7)):
+            rank = brute_rank(rows)
+            assert brute_rank(rows + [[0] * len(rows[0])]) == rank, rows
+            subset = [row for row in rows if rng.getrandbits(1)] or rows[:1]
+            row_sum = [sum(column) % 2 for column in zip(*subset)]
+            assert brute_rank(rows + [row_sum]) == rank, (rows, subset)
+            assert brute_rank([row_sum] + rows) == rank, (rows, subset)
+
+    def test_singleton_side_has_rank_one_iff_its_vertex_has_a_neighbour(self):
+        # Consecutive graphs share n, so each must be ranked on its own edges.
+        for g in all_graphs(5):
+            for v in range(1, g.n + 1):
+                has_neighbour = any(v in edge for edge in g.edges())
+                assert brute_cut_rank(g, frozenset({v})) == has_neighbour, (g.edges(), v)
+
+    def test_cut_rank_of_a_side_and_its_complement_agree(self):
+        for g in all_graphs(5):
+            universe = frozenset(range(1, g.n + 1))
+            for size in range(g.n + 1):
+                for side in map(frozenset, itertools.combinations(universe, size)):
+                    assert brute_cut_rank(g, side) == brute_cut_rank(g, universe - side), (
+                        g.edges(), sorted(side))
 
 
 class TestBruteSplits:
