@@ -111,7 +111,7 @@ def cmd_connected(args: argparse.Namespace) -> int:
     _emit(
         {"command": "connected", "n": g.n, "r": args.r, "r_rank_connected": verdict},
         args.json,
-        ["r-rank connected" if verdict else "not r-rank connected"],
+        [f"{args.r}-rank connected" if verdict else f"not {args.r}-rank connected"],
     )
     return 0 if verdict else 1
 
@@ -259,83 +259,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, json_flag: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, *options, json_flag: bool = True) -> None:
+        """Add a subcommand with its options, each a (flags, kwargs) pair."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if json_flag:
             p.add_argument("--json", action="store_true", help="emit the result as one JSON object")
-        return p
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+
+    def opt(*flags: str, **kwargs) -> tuple:
+        return flags, kwargs
 
     graph_help = f"graph file: {GRAPH_FORMAT_HELP}"
-    hypergraph_help = f"hypergraph file: {HYPERGRAPH_FORMAT_HELP}"
+    graph = opt("-g", "--graph", required=True, help=graph_help)
+    hypergraph = opt("-H", "--hypergraph", required=True,
+                     help=f"hypergraph file: {HYPERGRAPH_FORMAT_HELP}")
+    rank = opt("-r", type=_number, required=True)
+    output = opt("-o", "--output", help="write here instead of stdout")
+    vertex_set = opt("-X", dest="set", required=True, help="vertex set, e.g. 1,3,7 ('-' for empty)")
 
-    p = add("rank", cmd_rank, "rank of the cut at a vertex set")
-    p.add_argument("-g", "--graph", required=True, help=graph_help)
-    p.add_argument("-X", dest="set", required=True, help="vertex set, e.g. 1,3,7 ('-' for empty)")
-
-    p = add("splits", cmd_splits, "enumerate all r-splits as a closed family", json_flag=False)
-    p.add_argument("-g", "--graph", required=True, help=graph_help)
-    p.add_argument("-r", type=_number, required=True)
-    p.add_argument("-o", "--output", help="write here instead of stdout")
-
-    p = add("connected", cmd_connected, "test r-rank connectivity (exit 0/1)")
-    p.add_argument("-g", "--graph", required=True, help=graph_help)
-    p.add_argument("-r", type=_number, required=True)
-
-    p = add("essential", cmd_essential, "essential members of the r-split family", json_flag=False)
-    p.add_argument("-g", "--graph", required=True, help=graph_help)
-    p.add_argument("-r", type=_number, required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("closure", cmd_closure, "close a family under the rules (K2 optional)", json_flag=False)
-    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
-    p.add_argument("-r", type=_number, required=True)
-    p.add_argument("--degenerate", action="store_true", help="complement rule only, no unions")
-    p.add_argument("-o", "--output")
-
-    p = add(
-        "member",
-        cmd_member,
+    add("rank", cmd_rank, "rank of the cut at a vertex set", graph, vertex_set)
+    add("splits", cmd_splits, "enumerate all r-splits as a closed family",
+        graph, rank, output, json_flag=False)
+    add("connected", cmd_connected, "test r-rank connectivity (exit 0/1)", graph, rank)
+    add("essential", cmd_essential, "essential members of the r-split family",
+        graph, rank, output, json_flag=False)
+    add("closure", cmd_closure, "close a family under the rules (K2 optional)",
+        hypergraph, rank,
+        opt("--degenerate", action="store_true", help="complement rule only, no unions"),
+        output, json_flag=False)
+    add("member", cmd_member,
         "membership in a closed family (exit 0/1); the file is trusted to be "
         "closed under K2, which is not checked",
-    )
-    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
-    p.add_argument("-r", type=_number, required=True)
-    p.add_argument("-X", dest="set", required=True)
-
-    p = add("ortho", cmd_ortho, "r-orthogonality of two vertex sets (exit 0/1)")
-    p.add_argument("-n", type=_number, required=True)
-    p.add_argument("-r", type=_number, required=True)
-    p.add_argument("-A", dest="set_a", required=True)
-    p.add_argument("-B", dest="set_b", required=True)
-    p.add_argument("--oracle", action="store_true", help="decide via pair closures, not the formula")
-
-    p = add("crossfree", cmd_crossfree, "test whether a family is r-cross-free (exit 0/1)")
-    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
-    p.add_argument("-r", type=_number, required=True)
-
-    p = add(
-        "family",
-        cmd_family,
+        hypergraph, rank, vertex_set)
+    add("ortho", cmd_ortho, "r-orthogonality of two vertex sets (exit 0/1)",
+        opt("-n", type=_number, required=True), rank,
+        opt("-A", dest="set_a", required=True), opt("-B", dest="set_b", required=True),
+        opt("--oracle", action="store_true", help="decide via pair closures, not the formula"))
+    add("crossfree", cmd_crossfree, "test whether a family is r-cross-free (exit 0/1)",
+        hypergraph, rank)
+    add("family", cmd_family,
         "the colored value-sum family with k^r edges over n = k(r+1) vertices; "
         "value v of color c is vertex (c-1)*k + v + 1",
-        json_flag=False,
-    )
-    p.add_argument("-r", type=_number, required=True)
-    p.add_argument("-k", type=_number, required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("bounds", cmd_bounds, "size bounds of a cross-free family and its closure")
-    p.add_argument("-H", "--hypergraph", required=True, help=hypergraph_help)
-    p.add_argument("-r", type=_number, required=True)
-
-    p = add("verify", cmd_verify, "round-trip check for a graph, or the full property suite")
-    p.add_argument(
-        "-g", "--graph", help=f"check reconstruction of this graph's r-splits; {graph_help}"
-    )
-    p.add_argument("-r", type=_number, help="rank parameter (default 1 with -g)")
-    p.add_argument("--seed", type=_number, help="suite seed (default 2024; not with -g)")
-    p.add_argument("--profile", choices=PROFILES, help="suite profile (default quick; not with -g)")
+        rank, opt("-k", type=_number, required=True), output, json_flag=False)
+    add("bounds", cmd_bounds, "size bounds of a cross-free family and its closure",
+        hypergraph, rank)
+    add("verify", cmd_verify, "round-trip check for a graph, or the full property suite",
+        opt("-g", "--graph", help=f"check reconstruction of this graph's r-splits; {graph_help}"),
+        opt("-r", type=_number, help="rank parameter (default 1 with -g)"),
+        opt("--seed", type=_number, help="suite seed (default 2024; not with -g)"),
+        opt("--profile", choices=PROFILES, help="suite profile (default quick; not with -g)"))
 
     return parser
 

@@ -53,11 +53,14 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
 
 
 def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, VertexSet]]:
-    """First non-orthogonal pair in canonical order, or None."""
+    """First non-orthogonal pair in canonical order, or None.  A set of size
+    <= r or >= n - r is orthogonal to every set, so only the middles are
+    paired."""
     if r < 0:
         raise ValueError("r must be >= 0")
     n = h.n
-    sized = [(x, x.bit_count()) for x in sorted(h.masks, key=mask_sort_key)]
+    sized = [(x, size) for x in sorted(h.masks, key=mask_sort_key)
+             if r < (size := x.bit_count()) < n - r]
     for i, (a, size_a) in enumerate(sized):
         for b, size_b in itertools.islice(sized, i, None):
             if not _orthogonal_sizes(n, size_a, size_b, (a & b).bit_count(), r):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import rsplits
+import rsplits.cli
 from conftest import NINE_VERTEX_EDGES
-from rsplits.cli import main
+from rsplits.cli import build_parser, main
 from rsplits.graph import GRAPH_FORMAT_HELP, format_graph, parse_graph
 from rsplits.hypergraph import HYPERGRAPH_FORMAT_HELP, equals, parse_closed, parse_hypergraph
 from rsplits.splits import enumerate_r_splits
@@ -50,6 +52,72 @@ class TestFormatHelp:
         with pytest.raises(SystemExit):
             main(["-h"])
         assert "the file is trusted to be closed under K2" in capsys.readouterr().out
+
+
+# One argv per subcommand, and the namespace it parses to apart from `func`:
+# every dest with its value, so a dropped, renamed or re-typed option fails.
+OPTION_TABLE = [
+    (["rank", "--graph", "g", "-X", "1,3"],
+     {"command": "rank", "json": False, "graph": "g", "set": "1,3"}),
+    (["splits", "-g", "g", "-r", "2"],
+     {"command": "splits", "graph": "g", "r": 2, "output": None}),
+    (["connected", "-g", "g", "-r", "2", "--json"],
+     {"command": "connected", "json": True, "graph": "g", "r": 2}),
+    (["essential", "-g", "g", "-r", "1", "--output", "o"],
+     {"command": "essential", "graph": "g", "r": 1, "output": "o"}),
+    (["closure", "--hypergraph", "h", "-r", "1"],
+     {"command": "closure", "hypergraph": "h", "r": 1, "degenerate": False, "output": None}),
+    (["member", "-H", "h", "-r", "0", "-X", "-"],
+     {"command": "member", "json": False, "hypergraph": "h", "r": 0, "set": "-"}),
+    (["ortho", "-n", "6", "-r", "1", "-A", "1,2", "-B", "2,3"],
+     {"command": "ortho", "json": False, "n": 6, "r": 1, "set_a": "1,2", "set_b": "2,3",
+      "oracle": False}),
+    (["crossfree", "-H", "h", "-r", "3"],
+     {"command": "crossfree", "json": False, "hypergraph": "h", "r": 3}),
+    (["family", "-r", "2", "-k", "3", "-o", "o"],
+     {"command": "family", "r": 2, "k": 3, "output": "o"}),
+    (["bounds", "-H", "h", "-r", "1"],
+     {"command": "bounds", "json": False, "hypergraph": "h", "r": 1}),
+    (["verify"],
+     {"command": "verify", "json": False, "graph": None, "r": None, "seed": None,
+      "profile": None}),
+]
+
+HELP_FLAGS = {
+    "rank": ["--json", "-g", "--graph", "-X"],
+    "splits": ["-g", "--graph", "-r", "-o", "--output"],
+    "connected": ["--json", "-g", "--graph", "-r"],
+    "essential": ["-g", "--graph", "-r", "-o", "--output"],
+    "closure": ["-H", "--hypergraph", "-r", "--degenerate", "-o", "--output"],
+    "member": ["--json", "-H", "--hypergraph", "-r", "-X"],
+    "ortho": ["--json", "-n", "-r", "-A", "-B", "--oracle"],
+    "crossfree": ["--json", "-H", "--hypergraph", "-r"],
+    "family": ["-r", "-k", "-o", "--output"],
+    "bounds": ["--json", "-H", "--hypergraph", "-r"],
+    "verify": ["--json", "-g", "--graph", "-r", "--seed", "--profile"],
+}
+
+
+class TestOptionTable:
+    def test_one_argv_per_subcommand(self):
+        commands = sorted(name[4:] for name in vars(rsplits.cli) if name.startswith("cmd_"))
+        assert sorted(argv[0] for argv, _ in OPTION_TABLE) == sorted(HELP_FLAGS) == commands
+
+    @pytest.mark.parametrize("argv, expected", OPTION_TABLE, ids=[a[0] for a, _ in OPTION_TABLE])
+    def test_namespace(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed.pop("func") is getattr(rsplits.cli, f"cmd_{argv[0]}")
+        assert sorted((k, v, type(v)) for k, v in parsed.items()) == sorted(
+            (k, v, type(v)) for k, v in expected.items())
+
+    @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+    def test_help_lists_every_flag(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?\w[\w-]*", capsys.readouterr().out))
+        assert {"-h", "--help", *HELP_FLAGS[command]} <= listed
 
 
 class TestRank:
@@ -111,6 +179,21 @@ class TestConnected:
     def test_exit_codes(self, c4_file, nine_vertex_file, capsys):
         assert main(["connected", "-g", c4_file, "-r", "1"]) == 0
         assert main(["connected", "-g", nine_vertex_file, "-r", "2"]) == 1
+
+    def test_connected_verdict_names_r(self, tmp_path, capsys):
+        path = tmp_path / "c6.graph"
+        path.write_text("6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+        assert main(["connected", "-g", str(path), "-r", "2"]) == 0
+        assert capsys.readouterr() == ("2-rank connected\n", "")
+
+    def test_disconnected_verdict_names_r(self, tmp_path, capsys):
+        path = tmp_path / "two-edges.graph"
+        path.write_text("4 2\n1 2\n3 4\n")
+        assert main(["connected", "-g", str(path), "-r", "1"]) == 1
+        assert capsys.readouterr() == ("not 1-rank connected\n", "")
+        assert main(["connected", "-g", str(path), "-r", "1", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "connected", "n": 4, "r": 1, "r_rank_connected": False}
 
 
 class TestMember:

@@ -14,6 +14,7 @@ from rsplits.hypergraph import Hypergraph, equals
 from rsplits.limits import TooLargeError
 from rsplits.ortho import (
     FamilyParams,
+    _orthogonal_sizes,
     NotCrossFreeError,
     build_family,
     cross_free_closure,
@@ -29,6 +30,15 @@ from rsplits.verification import check_family_laws, property_rng
 
 def vs(n, vertices):
     return VertexSet.of(n, vertices)
+
+
+def first_crossing_by_full_scan(h, r):
+    """The first non-orthogonal pair in canonical order, every set paired."""
+    ordered = h.sorted_edges()
+    return next(
+        ((a, b) for i, a in enumerate(ordered) for b in ordered[i:] if not is_orthogonal(a, b, r)),
+        None,
+    )
 
 
 def boundary_pair(rng, n, r):
@@ -201,16 +211,48 @@ class TestCrossFree:
             n = rng.randint(1, 8)
             edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5)))
             h = Hypergraph(n, edges)
-            ordered = h.sorted_edges()
-            expected = next(
-                ((a, b) for i, a in enumerate(ordered) for b in ordered[i:]
-                 if not is_orthogonal(a, b, r)),
-                None,
-            )
-            assert find_crossing_pair(h, r) == expected, (n, r, [str(e) for e in ordered])
+            expected = first_crossing_by_full_scan(h, r)
+            assert find_crossing_pair(h, r) == expected, (n, r, [str(e) for e in h.sorted_edges()])
             outcomes.add(expected is None)
         # At r = 3 a crossing pair needs n >= 9, so every family here is cross-free.
         assert outcomes == ({True, False} if r < 3 else {True})
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_first_pair_of_a_materialized_closure_matches_a_full_scan(self, r):
+        """A materialized closure holds every trivial set, which the crossing
+        scan skips."""
+        rng = random.Random(53 + r)
+        outcomes = set()
+        for _ in range(25):
+            n = rng.randint(2 * r + 2, 7)
+            edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(1, 3)))
+            closed = close_full(Hypergraph(n, edges), r).materialize()
+            expected = first_crossing_by_full_scan(closed, r)
+            assert find_crossing_pair(closed, r) == expected, (n, r, [str(e) for e in edges])
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_trivial_sizes_are_orthogonal_to_every_size(self):
+        """A set of size <= r or >= n - r is orthogonal to every set: the
+        formula holds for every other size and every feasible intersection."""
+        for n in range(41):
+            for r in range(8):
+                for size_a in range(n + 1):
+                    if r < size_a < n - r:
+                        continue
+                    for size_b in range(n + 1):
+                        for inter in range(max(0, size_a + size_b - n), min(size_a, size_b) + 1):
+                            assert _orthogonal_sizes(n, size_a, size_b, inter, r), (
+                                n, r, size_a, size_b, inter)
+
+    def test_trivial_sets_are_orthogonal_to_every_set_by_the_definition(self):
+        for n in range(1, 7):
+            for r in range(n + 1):
+                for a in range(1 << n):
+                    if r < a.bit_count() < n - r:
+                        continue
+                    for b in range(1 << n):
+                        assert is_orthogonal_oracle(VertexSet(n, a), VertexSet(n, b), r), (n, r, a, b)
 
     def test_negative_rank_rejected_on_any_family(self):
         for edges in ([], [[1, 2]]):
