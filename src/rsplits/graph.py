@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from . import limits
-from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, parse_int, rank_of_rows
+from . import bitset, limits
+from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, parse_int
 
 
 class Graph(Frozen):
@@ -97,7 +97,7 @@ def _block_rank(adj: tuple[int, ...], rows: int, cols: int) -> int:
         low = rows & -rows
         out.append(adj[low.bit_length() - 1] & cols)
         rows ^= low
-    return rank_of_rows(out)
+    return bitset.rank_of_rows(out)
 
 
 def is_r_split(g: Graph, x: VertexSet, r: int) -> bool:

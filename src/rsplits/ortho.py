@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from . import closure, limits, splits
+from . import closure, hypergraph, limits, splits
 from .bitset import Frozen, VertexSet, _check_universe, _setattr, mask_sort_key
-from .hypergraph import ClosedHypergraph, Hypergraph, equals
+from .hypergraph import ClosedHypergraph, Hypergraph
 
 
 def _orthogonal_sizes(n: int, size_a: int, size_b: int, inter: int, r: int) -> bool:
@@ -49,7 +49,7 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
     if a.n != b.n:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
     pair = Hypergraph(a.n, frozenset({a, b}))
-    return equals(closure.close_full(pair, r), closure.close_degenerate(pair, r))
+    return hypergraph.equals(closure.close_full(pair, r), closure.close_degenerate(pair, r))
 
 
 def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, VertexSet]]:
@@ -221,6 +221,6 @@ def verify_lower_bound(p: FamilyParams) -> LowerBoundReport:
         family_size=len(family),
         closure_middles=len(closed.masks),
         essential_count=len(essential),
-        closure_matches=equals(rebuilt, closed),
+        closure_matches=hypergraph.equals(rebuilt, closed),
         inequality_holds=2 * len(essential) >= len(family),
     )

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from . import closure, limits
+from . import closure, graph, hypergraph, limits
 from .bitset import VertexSet
-from .graph import Graph, low_rank_cuts
-from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, closed_from_masks, equals
+from .graph import Graph
+from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, closed_from_masks
 
 
 class NotRankConnectedError(ValueError):
@@ -30,7 +30,7 @@ def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
     if r < 0:
         raise ValueError("r must be >= 0")
     limits.check_cap(g.n, limits.exhaustive_cap(), "split enumeration")
-    sides = [mask for mask, _ in low_rank_cuts(g, r, range(r + 1, g.n - r))]
+    sides = [mask for mask, _ in graph.low_rank_cuts(g, r, range(r + 1, g.n - r))]
     return closed_from_masks(g.n, r, sides)
 
 
@@ -46,7 +46,7 @@ def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
     limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
     n = g.n
     sides = []
-    for mask, rank in low_rank_cuts(g, r):
+    for mask, rank in graph.low_rank_cuts(g, r):
         size = mask.bit_count()
         if rank < r and rank < min(size, n - size):
             raise NotRankConnectedError(f"graph is not {r}-rank connected")
@@ -116,5 +116,5 @@ def verify_representation(g: Graph, r: int) -> RoundTripReport:
         middle_count=len(family.masks),
         essential_count=len(essential),
         essential_bound=math.comb(g.n, r + 1),
-        closure_matches=equals(rebuilt, family),
+        closure_matches=hypergraph.equals(rebuilt, family),
     )

@@ -1,11 +1,14 @@
 """Randomized verification suite: every structural law the library relies
 on, each checked against independent brute-force routes where one exists.
 
-All randomness flows from a single seeded generator, so a given (seed,
-profile) pair produces a byte-identical report.  Engine entry points are
-called through their modules, which lets tests inject broken routines and
-confirm that the suite catches them.  A check that raises, as a broken
-engine may, is reported as a FAIL line and the suite goes on.
+Each property is declared once, on the decorator that registers it with its
+tag and its trial counts for the quick and full profiles; REGISTRY lists
+them in definition order, which is the report order.  All randomness flows
+from a single seeded generator, so a given (seed, profile) pair produces a
+byte-identical report.  Engine entry points are called through their
+modules, which lets tests inject broken routines and confirm that the suite
+catches them.  A check that raises, as a broken engine may, is reported as
+a FAIL line and the suite goes on.
 """
 
 from __future__ import annotations
@@ -16,17 +19,11 @@ import math
 import random
 from typing import Callable, NamedTuple, Optional
 
-from . import bruteforce, closure as closure_mod, graph as graph_mod, ortho as ortho_mod
-from . import splits as splits_mod
-from .bitset import VertexSet, mask_sort_key, rank_of_rows
+from . import bitset, bruteforce, closure as closure_mod, graph as graph_mod, hypergraph
+from . import ortho as ortho_mod, splits as splits_mod
+from .bitset import VertexSet, mask_sort_key
 from .graph import Graph
-from .hypergraph import (
-    ClosedHypergraph,
-    Hypergraph,
-    equals,
-    normalize,
-    trivial_closure_size,
-)
+from .hypergraph import ClosedHypergraph, Hypergraph
 from .limits import PROFILES
 from .ortho import FamilyParams
 
@@ -145,28 +142,45 @@ def _sorted_members(closed: ClosedHypergraph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Property checks.  Each returns a PropertyResult; `trials` scales the work.
-# Most are one trial, returning None or the (sub-tag, detail) of a failure,
-# run `trials` times by `_per_trial`; six keep loops of their own.  A check
+# Property checks, registered in report order.  Each returns a
+# PropertyResult; `trials` scales the work.  Most are one trial, run
+# `trials` times by `_per_trial`: a trial returns None, the detail of a
+# failure under the check's own tag, or the (sub-tag, detail) of a failure.
+# Six keep loops of their own and register through `_register`.  A check
 # that raises is a FAIL, reported by `run_verification_suite`.
 
 Check = Callable[[random.Random, int], PropertyResult]
-Failure = Optional[tuple[str, str]]
+Failure = str | tuple[str, str] | None
+Trial = Callable[[random.Random], Failure]
+
+# (tag, check, quick trials, full trials), in report order.
+REGISTRY: list[tuple[str, Check, int, int]] = []
 
 
-def _per_trial(tag: str) -> Callable[[Callable[[random.Random], Failure]], Check]:
-    """A check that runs `trial` `trials` times and passes under `tag`."""
+def _register(tag: str, quick: int, full: int) -> Callable[[Check], Check]:
+    """Append a check to REGISTRY under `tag`, with its trial counts."""
 
-    def wrap(trial: Callable[[random.Random], Failure]) -> Check:
+    def wrap(check: Check) -> Check:
+        REGISTRY.append((tag, check, quick, full))
+        return check
+
+    return wrap
+
+
+def _per_trial(tag: str, quick: int, full: int) -> Callable[[Trial], Check]:
+    """Register a check that runs `trial` `trials` times and passes under `tag`."""
+
+    def wrap(trial: Trial) -> Check:
         @functools.wraps(trial)
         def check(rng: random.Random, trials: int) -> PropertyResult:
             for t in range(trials):
                 failure = trial(rng)
                 if failure is not None:
-                    return PropertyResult(failure[0], t + 1, False, failure[1])
+                    sub_tag, detail = (tag, failure) if isinstance(failure, str) else failure
+                    return PropertyResult(sub_tag, t + 1, False, detail)
             return PropertyResult(tag, trials, True)
 
-        return check
+        return _register(tag, quick, full)(check)
 
     return wrap
 
@@ -178,37 +192,39 @@ def _transpose(rows: tuple[int, ...], n_cols: int) -> tuple[int, ...]:
     )
 
 
-@_per_trial("gf2-rank-laws")
+@_per_trial("gf2-rank-laws", 200, 1000)
 def check_gf2_rank_laws(rng: random.Random) -> Failure:
     n_rows = rng.randint(0, 7)
     n_cols = rng.randint(0, 7)
     rows = tuple(rng.getrandbits(n_cols) if n_cols else 0 for _ in range(n_rows))
-    rank = rank_of_rows(rows)
-    if rank != rank_of_rows(_transpose(rows, n_cols)):
+    rank = bitset.rank_of_rows(rows)
+    if (rank == 0) != (not any(rows)):
+        return "gf2-rank-zero", f"rows={rows} rank={rank}"
+    if rank != bitset.rank_of_rows(_transpose(rows, n_cols)):
         return "gf2-transpose", f"rows={rows} cols={n_cols}"
     if n_rows >= 2:
         picks = rng.sample(range(n_rows), rng.randint(2, n_rows))
         extra = 0
         for i in picks:
             extra ^= rows[i]
-        if rank_of_rows(rows + (extra,)) != rank:
+        if bitset.rank_of_rows(rows + (extra,)) != rank:
             return "gf2-xor-append", f"rows={rows} xor of {picks}"
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    if rank_of_rows(shuffled) != rank:
+    if bitset.rank_of_rows(shuffled) != rank:
         return "gf2-row-permutation", f"rows={rows}"
 
 
-@_per_trial("set-cardinality-identity")
+@_per_trial("set-cardinality-identity", 300, 1000)
 def check_set_cardinality_identity(rng: random.Random) -> Failure:
     n = rng.randint(0, 16)
     a = random_vertex_set(rng, n)
     b = random_vertex_set(rng, n)
     if len(a | b) + len(a & b) != len(a) + len(b):
-        return "set-cardinality-identity", f"n={n} a={a} b={b}"
+        return f"n={n} a={a} b={b}"
 
 
-@_per_trial("cutrank-vs-bruteforce")
+@_per_trial("cutrank-vs-bruteforce", 80, 400)
 def check_cut_rank_vs_bruteforce(rng: random.Random) -> Failure:
     n = rng.randint(1, 9)
     g = random_graph(rng, n)
@@ -216,10 +232,10 @@ def check_cut_rank_vs_bruteforce(rng: random.Random) -> Failure:
     fast = graph_mod.cut_rank(g, x)
     slow = bruteforce.brute_cut_rank(g, frozenset(x.members()))
     if fast != slow:
-        return "cutrank-vs-bruteforce", f"g={g.edges()} X={x}: {fast} vs {slow}"
+        return f"g={g.edges()} X={x}: {fast} vs {slow}"
 
 
-@_per_trial("cutrank-symmetry-bound")
+@_per_trial("cutrank-symmetry-bound", 200, 1000)
 def check_cut_rank_symmetry_and_bound(rng: random.Random) -> Failure:
     n = rng.randint(1, 10)
     g = random_graph(rng, n)
@@ -231,7 +247,7 @@ def check_cut_rank_symmetry_and_bound(rng: random.Random) -> Failure:
         return "cutrank-bound", f"g={g.edges()} X={x} rank={rank}"
 
 
-@_per_trial("cutrank-submodular")
+@_per_trial("cutrank-submodular", 200, 1000)
 def check_submodularity(rng: random.Random) -> Failure:
     n = rng.randint(1, 9)
     g = random_graph(rng, n)
@@ -240,7 +256,7 @@ def check_submodularity(rng: random.Random) -> Failure:
     lhs = graph_mod.cut_rank(g, x | y) + graph_mod.cut_rank(g, x & y)
     rhs = graph_mod.cut_rank(g, x) + graph_mod.cut_rank(g, y)
     if lhs > rhs:
-        return "cutrank-submodular", f"g={g.edges()} X={x} Y={y}: {lhs} > {rhs}"
+        return f"g={g.edges()} X={x} Y={y}: {lhs} > {rhs}"
 
 
 def _split_pairs(g: Graph, r: int) -> list[tuple[int, int]]:
@@ -251,6 +267,7 @@ def _split_pairs(g: Graph, r: int) -> list[tuple[int, int]]:
     return [(x, y) for i, x in enumerate(splits) for y in splits[i:] if (x & y).bit_count() >= r]
 
 
+@_register("split-union", 200, 1000)
 def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
     done = 0
     for r in (1, 2):
@@ -270,6 +287,7 @@ def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
     return PropertyResult("split-union", done, True)
 
 
+@_register("middle-rank-floor", 200, 1000)
 def check_middle_rank_floor(rng: random.Random, trials: int) -> PropertyResult:
     done = 0
     for r in (1, 2):
@@ -286,6 +304,7 @@ def check_middle_rank_floor(rng: random.Random, trials: int) -> PropertyResult:
     return PropertyResult("middle-rank-floor", done, True)
 
 
+@_register("trivial-closure-census", 1, 1)
 def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyResult:
     combos = 0
     for n in range(0, 13):
@@ -293,7 +312,7 @@ def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyRes
         for r in range(0, 4):
             empty = ClosedHypergraph(n, r, frozenset())
             count = sum(map(empty.contains, sets))
-            if count != trivial_closure_size(n, r):
+            if count != hypergraph.trivial_closure_size(n, r):
                 return PropertyResult("trivial-closure-census", combos + 1, False, f"n={n} r={r}")
             if n > 2 * r:
                 expected = 2 * sum(math.comb(n, i) for i in range(r + 1))
@@ -305,20 +324,20 @@ def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyRes
     return PropertyResult("trivial-closure-census", combos, True)
 
 
-@_per_trial("closure-vs-bruteforce")
+@_per_trial("closure-vs-bruteforce", 60, 500)
 def check_closure_vs_bruteforce(rng: random.Random) -> Failure:
     r = rng.randint(1, 3)
     n = rng.randint(3, 9)
     h = random_hypergraph(rng, n, max_edges=4)
     full = closure_mod.close_full(h, r)
     if bruteforce.explicit_members(full) != bruteforce.brute_closure(h, r, use_rule_k2=True):
-        return "closure-vs-bruteforce", f"n={n} r={r} edges={[str(e) for e in h]}"
+        return f"n={n} r={r} edges={[str(e) for e in h]}"
     degenerate = closure_mod.close_degenerate(h, r)
     if bruteforce.explicit_members(degenerate) != bruteforce.brute_closure(h, r, use_rule_k2=False):
         return "degenerate-vs-bruteforce", f"n={n} r={r} edges={[str(e) for e in h]}"
 
 
-@_per_trial("closure-operator-laws")
+@_per_trial("closure-operator-laws", 60, 300)
 def check_closure_operator_laws(rng: random.Random) -> Failure:
     r = rng.randint(0, 3)
     n = rng.randint(2, 9)
@@ -332,26 +351,38 @@ def check_closure_operator_laws(rng: random.Random) -> Failure:
     if not closed.masks <= wider_closed.masks:
         return "closure-monotone", f"n={n} r={r} extra={extra}"
     again = closure_mod.close_full(closed.materialize(), r)
-    if not equals(again, closed):
+    if not hypergraph.equals(again, closed):
         return "closure-idempotent", f"n={n} r={r}"
     degenerate = closure_mod.close_degenerate(h, r)
     if not degenerate.masks <= closed.masks:
         return "degenerate-below-full", f"n={n} r={r}"
 
 
-@_per_trial("normalize-idempotent")
+@_per_trial("normalize-idempotent", 60, 300)
 def check_normalize_idempotent(rng: random.Random) -> Failure:
     r = rng.randint(0, 3)
     n = rng.randint(2, 9)
     closed = random_closed_family(rng, n, r)
-    renorm = normalize(closed.materialize(), r)
-    if not equals(renorm, closed):
-        return "normalize-idempotent", f"n={n} r={r}"
+    explicit = closed.materialize()
+    renorm = hypergraph.normalize(explicit, r)
+    if not hypergraph.equals(renorm, closed):
+        return f"n={n} r={r}"
     if not all(closed.contains(a) == closed.contains(a.complement()) for a in closed.middles):
         return "contains-complement", f"n={n} r={r}"
+    if n > 2 * r + 2:
+        # A = {1..r+1} and B = {2..r+2} meet in exactly r vertices and their
+        # union is a middle, so their K0/K1 closure (A, B, their complements
+        # and the trivial part of `explicit`) breaks K2.
+        a, b, full = (1 << r + 1) - 1, (1 << r + 2) - 2, (1 << n) - 1
+        unclosed = (explicit.masks - closed.masks) | {a, b, full ^ a, full ^ b}
+        try:
+            hypergraph.normalize(Hypergraph._from_masks(n, unclosed), r)
+        except hypergraph.NotClosedError:
+            return None
+        return "normalize-k2-refusal", f"n={n} r={r} A={VertexSet(n, a)} B={VertexSet(n, b)}"
 
 
-@_per_trial("closure-system-intersection")
+@_per_trial("closure-system-intersection", 40, 200)
 def check_closure_system_intersection(rng: random.Random) -> Failure:
     r = rng.randint(0, 2)
     n = rng.randint(3, 8)
@@ -359,22 +390,22 @@ def check_closure_system_intersection(rng: random.Random) -> Failure:
     h2 = random_closed_family(rng, n, r)
     meet = ClosedHypergraph(n, r, h1.middles & h2.middles)
     try:
-        normalize(meet.materialize(), r)
+        hypergraph.normalize(meet.materialize(), r)
     except ValueError as exc:
-        return "closure-system-intersection", f"n={n} r={r}: {exc}"
+        return f"n={n} r={r}: {exc}"
 
 
-@_per_trial("derived-rules")
+@_per_trial("derived-rules", 100, 1000)
 def check_derived_rules_hold(rng: random.Random) -> Failure:
     r = rng.randint(1, 3)
     n = rng.randint(3, 9)
     closed = random_closed_family(rng, n, r)
     violations = closure_mod.check_derived_rules(closed)
     if violations:
-        return "derived-rules", f"n={n} r={r}: {violations[0]}"
+        return f"n={n} r={r}: {violations[0]}"
 
 
-@_per_trial("chain-union")
+@_per_trial("chain-union", 100, 1000)
 def check_chain_union(rng: random.Random) -> Failure:
     r = rng.randint(1, 3)
     n = rng.randint(3, 9)
@@ -391,10 +422,10 @@ def check_chain_union(rng: random.Random) -> Failure:
     for a in chain:
         union |= a
     if not closed.contains(VertexSet(n, union)):
-        return "chain-union", f"n={n} r={r} chain={[str(VertexSet(n, c)) for c in chain]}"
+        return f"n={n} r={r} chain={[str(VertexSet(n, c)) for c in chain]}"
 
 
-@_per_trial("half-side-intersection")
+@_per_trial("half-side-intersection", 100, 1000)
 def check_half_side_intersection(rng: random.Random) -> Failure:
     r = rng.randint(1, 3)
     n = rng.randint(3, 9)
@@ -403,7 +434,7 @@ def check_half_side_intersection(rng: random.Random) -> Failure:
     a = halves[rng.randrange(len(halves))]
     b = halves[rng.randrange(len(halves))]
     if not closed.contains(VertexSet(n, a & b)):
-        return "half-side-intersection", f"n={n} r={r} A={VertexSet(n, a)} B={VertexSet(n, b)}"
+        return f"n={n} r={r} A={VertexSet(n, a)} B={VertexSet(n, b)}"
 
 
 def _random_pair(rng: random.Random, n: int) -> tuple[VertexSet, VertexSet]:
@@ -423,7 +454,7 @@ def _random_pair(rng: random.Random, n: int) -> tuple[VertexSet, VertexSet]:
     return a, b
 
 
-@_per_trial("ortho-formula-vs-definition")
+@_per_trial("ortho-formula-vs-definition", 150, 1000)
 def check_ortho_formula_vs_definition(rng: random.Random) -> Failure:
     n = rng.randint(1, 8)
     r = rng.randint(0, 3)
@@ -431,10 +462,10 @@ def check_ortho_formula_vs_definition(rng: random.Random) -> Failure:
     via_formula = ortho_mod.is_orthogonal(a, b, r)
     via_definition = ortho_mod.is_orthogonal_oracle(a, b, r)
     if via_formula != via_definition:
-        return "ortho-formula-vs-definition", f"n={n} r={r} A={a} B={b}: formula={via_formula}"
+        return f"n={n} r={r} A={a} B={b}: formula={via_formula}"
 
 
-@_per_trial("ortho-properties")
+@_per_trial("ortho-properties", 300, 1000)
 def check_ortho_properties(rng: random.Random) -> Failure:
     n = rng.randint(1, 10)
     r = rng.randint(0, 3)
@@ -460,7 +491,7 @@ def check_ortho_properties(rng: random.Random) -> Failure:
         return "ortho-prop-monotone", f"n={n} r={r} A={a} B={b}"
 
 
-@_per_trial("ortho-noncrossing-r1")
+@_per_trial("ortho-noncrossing-r1", 300, 1000)
 def check_noncrossing_r1(rng: random.Random) -> Failure:
     n = rng.choice((5, 6, 7))
     a = random_vertex_set(rng, n)
@@ -472,20 +503,20 @@ def check_noncrossing_r1(rng: random.Random) -> Failure:
         or (a | b).mask == (1 << n) - 1
     )
     if ortho_mod.is_orthogonal(a, b, 1) != classic:
-        return "ortho-noncrossing-r1", f"n={n} A={a} B={b}"
+        return f"n={n} A={a} B={b}"
 
 
-@_per_trial("singleton-closure")
+@_per_trial("singleton-closure", 150, 1000)
 def check_singleton_closure(rng: random.Random) -> Failure:
     n = rng.randint(1, 9)
     r = rng.randint(0, 3)
     a = random_vertex_set(rng, n)
     closed = closure_mod.close_full(Hypergraph(n, frozenset({a})), r)
     if not closed.masks <= {a.mask, a.complement().mask}:
-        return "singleton-closure", f"n={n} r={r} A={a} middles={len(closed.masks)}"
+        return f"n={n} r={r} A={a} middles={len(closed.masks)}"
 
 
-@_per_trial("pair-closure-union")
+@_per_trial("pair-closure-union", 100, 1000)
 def check_pair_closure_union(rng: random.Random) -> Failure:
     n = rng.randint(2, 8)
     r = rng.randint(0, 3)
@@ -497,10 +528,10 @@ def check_pair_closure_union(rng: random.Random) -> Failure:
     )
     union_equality = joint.masks == solo_union
     if union_equality != ortho_mod.is_orthogonal(a, b, r):
-        return "pair-closure-union", f"n={n} r={r} A={a} B={b}"
+        return f"n={n} r={r} A={a} B={b}"
 
 
-@_per_trial("crossfree-transfer")
+@_per_trial("crossfree-transfer", 60, 1000)
 def check_crossfree_transfer(rng: random.Random) -> Failure:
     n = rng.randint(3, 6)
     r = rng.randint(1, 2)
@@ -508,9 +539,10 @@ def check_crossfree_transfer(rng: random.Random) -> Failure:
     before = ortho_mod.is_cross_free(h, r)
     after = ortho_mod.is_cross_free(closure_mod.close_full(h, r).materialize(), r)
     if before != after:
-        return "crossfree-transfer", f"n={n} r={r} edges={[str(e) for e in h]}: {before} vs {after}"
+        return f"n={n} r={r} edges={[str(e) for e in h]}: {before} vs {after}"
 
 
+@_register("essential-roundtrip", 25, 120)
 def check_essential_roundtrip(rng: random.Random, trials: int) -> PropertyResult:
     done = 0
     while done < trials:
@@ -520,17 +552,25 @@ def check_essential_roundtrip(rng: random.Random, trials: int) -> PropertyResult
             try:
                 report = splits_mod.verify_representation(g, r)
             except splits_mod.NotRankConnectedError:
+                if r == 1:  # every connected graph is 1-rank connected
+                    detail = f"r=1 g={g.edges()}: connected but refused"
+                    return PropertyResult("essential-roundtrip", done + 1, False, detail)
                 continue
             done += 1
             if not report.passed:
                 return PropertyResult(
                     "essential-roundtrip", done, False, f"r={r} g={g.edges()}"
                 )
+            if report.essential_bound != math.comb(n, r + 1):
+                return PropertyResult(
+                    "essential-bound", done, False, f"r={r} n={n} bound={report.essential_bound}"
+                )
             if done >= trials:
                 break
     return PropertyResult("essential-roundtrip", done, True)
 
 
+@_register("family-laws", 12, 40)
 def check_family_laws(rng: random.Random, trials: int) -> PropertyResult:
     checked = 0
     for r in (1, 2, 3):
@@ -555,10 +595,15 @@ def check_family_laws(rng: random.Random, trials: int) -> PropertyResult:
                 return PropertyResult("family-crossfree", checked + 1, False, f"r={r} k={k}")
             if not bounds.passed:
                 return PropertyResult("crossfree-size-chain", checked + 1, False, f"r={r} k={k}")
+            if bounds.closure_cap != 2 * (r + 1) * family.n**r + 2 * len(family):
+                return PropertyResult(
+                    "closure-cap", checked + 1, False, f"r={r} k={k} cap={bounds.closure_cap}"
+                )
             checked += 1
     return PropertyResult("family-laws", checked, True)
 
 
+@_register("lowerbound-desk", 1, 1)
 def check_lower_bound_desk(rng: random.Random, trials: int) -> PropertyResult:
     cases = ((1, 2), (1, 4), (2, 3))
     for case, (r, k) in enumerate(cases, 1):
@@ -568,7 +613,7 @@ def check_lower_bound_desk(rng: random.Random, trials: int) -> PropertyResult:
     return PropertyResult("lowerbound-desk", len(cases), True)
 
 
-@_per_trial("splits-vs-bruteforce")
+@_per_trial("splits-vs-bruteforce", 40, 200)
 def check_split_enumeration_vs_bruteforce(rng: random.Random) -> Failure:
     n = rng.randint(1, 8)
     r = rng.randint(0, 3)
@@ -576,40 +621,11 @@ def check_split_enumeration_vs_bruteforce(rng: random.Random) -> Failure:
     fast = bruteforce.explicit_members(splits_mod.enumerate_r_splits(g, r))
     slow = bruteforce.brute_splits(g, r)
     if fast != slow:
-        return "splits-vs-bruteforce", f"n={n} r={r} g={g.edges()}"
+        return f"n={n} r={r} g={g.edges()}"
 
 
 # ---------------------------------------------------------------------------
-# Registry and runner
-
-# (tag, check, quick trials, full trials)
-REGISTRY: tuple[tuple[str, Check, int, int], ...] = (
-    ("gf2-rank-laws", check_gf2_rank_laws, 200, 1000),
-    ("set-cardinality-identity", check_set_cardinality_identity, 300, 1000),
-    ("cutrank-vs-bruteforce", check_cut_rank_vs_bruteforce, 80, 400),
-    ("cutrank-symmetry-bound", check_cut_rank_symmetry_and_bound, 200, 1000),
-    ("cutrank-submodular", check_submodularity, 200, 1000),
-    ("split-union", check_split_union, 200, 1000),
-    ("middle-rank-floor", check_middle_rank_floor, 200, 1000),
-    ("trivial-closure-census", check_trivial_closure_census, 1, 1),
-    ("closure-vs-bruteforce", check_closure_vs_bruteforce, 60, 500),
-    ("closure-operator-laws", check_closure_operator_laws, 60, 300),
-    ("normalize-idempotent", check_normalize_idempotent, 60, 300),
-    ("closure-system-intersection", check_closure_system_intersection, 40, 200),
-    ("derived-rules", check_derived_rules_hold, 100, 1000),
-    ("chain-union", check_chain_union, 100, 1000),
-    ("half-side-intersection", check_half_side_intersection, 100, 1000),
-    ("ortho-formula-vs-definition", check_ortho_formula_vs_definition, 150, 1000),
-    ("ortho-properties", check_ortho_properties, 300, 1000),
-    ("ortho-noncrossing-r1", check_noncrossing_r1, 300, 1000),
-    ("singleton-closure", check_singleton_closure, 150, 1000),
-    ("pair-closure-union", check_pair_closure_union, 100, 1000),
-    ("crossfree-transfer", check_crossfree_transfer, 60, 1000),
-    ("essential-roundtrip", check_essential_roundtrip, 25, 120),
-    ("family-laws", check_family_laws, 12, 40),
-    ("lowerbound-desk", check_lower_bound_desk, 1, 1),
-    ("splits-vs-bruteforce", check_split_enumeration_vs_bruteforce, 40, 200),
-)
+# Runner
 
 
 def run_verification_suite(seed: int = 2024, profile: str = "quick") -> SuiteReport:

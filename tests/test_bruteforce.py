@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import itertools
 import pathlib
 import random
@@ -8,10 +9,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import rsplits.bitset
 import rsplits.bruteforce
 import rsplits.closure
 import rsplits.graph
+import rsplits.hypergraph
 import rsplits.ortho
+import rsplits.splits
 from rsplits import cli
 from conftest import all_graphs, seeded_graphs
 from rsplits.bitset import VertexSet, mask_sort_key
@@ -333,6 +337,59 @@ def break_cut_rank(monkeypatch) -> None:
     monkeypatch.setattr(rsplits.graph, "cut_rank", broken)
 
 
+def source_mutant(module, name: str, old: str, new: str):
+    """`module.name` recompiled from its source with the one `old` replaced by `new`."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def raise_on_call(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+# fault -> (module, routine, its broken version, the failing tags of the
+# quick suite in report order, the same at seeds 99, 4 and 2024).
+# The first three are faults in routines the suite reaches through their
+# modules; the last three are one-line mutants of a law's bound or test.
+FAULTS = {
+    "normalize-raises": (
+        rsplits.hypergraph, "normalize", raise_on_call,
+        ["normalize-idempotent", "closure-system-intersection"],
+    ),
+    "equals-always-false": (
+        rsplits.hypergraph, "equals", lambda a, b: False,
+        ["closure-idempotent", "normalize-idempotent", "ortho-formula-vs-definition",
+         "essential-roundtrip", "lowerbound-desk"],
+    ),
+    "rank-always-zero": (
+        rsplits.bitset, "rank_of_rows", lambda rows: 0,
+        ["gf2-rank-zero", "cutrank-vs-bruteforce", "middle-rank-floor",
+         "essential-roundtrip", "splits-vs-bruteforce"],
+    ),
+    "essential-bound-doubled": (
+        rsplits.splits, "verify_representation",
+        source_mutant(rsplits.splits, "verify_representation",
+                      "essential_bound=math.comb(", "essential_bound=2 * math.comb("),
+        ["essential-bound"],
+    ),
+    "closure-cap-plus-one": (
+        rsplits.ortho, "crossfree_size_bounds",
+        source_mutant(rsplits.ortho, "crossfree_size_bounds",
+                      "+ 2 * len(h.masks)", "+ 2 * len(h.masks) + 1"),
+        ["closure-cap"],
+    ),
+    "normalize-k2-strict": (
+        rsplits.hypergraph, "normalize",
+        source_mutant(rsplits.hypergraph, "normalize",
+                      "(a & b).bit_count() >= r", "(a & b).bit_count() > r"),
+        ["normalize-k2-refusal"],
+    ),
+}
+
+
 TRUE_CLOSE_FULL = rsplits.closure.close_full
 
 
@@ -373,6 +430,14 @@ class TestVerificationSuite:
         assert result.detail    # names the counterexample triple
         assert result.tag == "cutrank-submodular"
         assert result.trials == 16
+
+    @pytest.mark.parametrize("seed", [99, 4, 2024])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_injected_fault_fails_the_quick_suite(self, monkeypatch, fault, seed):
+        module, name, broken, failing = FAULTS[fault]
+        monkeypatch.setattr(module, name, broken)
+        report = run_verification_suite(seed=seed, profile="quick")
+        assert [res.tag for res in report.results if not res.passed] == failing
 
     @pytest.mark.parametrize(
         "seed, failures",
@@ -481,3 +546,41 @@ class TestVerificationSuite:
         monkeypatch.setattr(rsplits.closure, "close_full", drop_one_complement_pair)
         report = run_verification_suite(seed=2024)
         assert "FAIL essential-roundtrip r=1 g=" in report.format_lines()
+
+
+# (tag, check, quick trials, full trials) of every property, in report order.
+REGISTRY_TABLE = [
+    ("gf2-rank-laws", "check_gf2_rank_laws", 200, 1000),
+    ("set-cardinality-identity", "check_set_cardinality_identity", 300, 1000),
+    ("cutrank-vs-bruteforce", "check_cut_rank_vs_bruteforce", 80, 400),
+    ("cutrank-symmetry-bound", "check_cut_rank_symmetry_and_bound", 200, 1000),
+    ("cutrank-submodular", "check_submodularity", 200, 1000),
+    ("split-union", "check_split_union", 200, 1000),
+    ("middle-rank-floor", "check_middle_rank_floor", 200, 1000),
+    ("trivial-closure-census", "check_trivial_closure_census", 1, 1),
+    ("closure-vs-bruteforce", "check_closure_vs_bruteforce", 60, 500),
+    ("closure-operator-laws", "check_closure_operator_laws", 60, 300),
+    ("normalize-idempotent", "check_normalize_idempotent", 60, 300),
+    ("closure-system-intersection", "check_closure_system_intersection", 40, 200),
+    ("derived-rules", "check_derived_rules_hold", 100, 1000),
+    ("chain-union", "check_chain_union", 100, 1000),
+    ("half-side-intersection", "check_half_side_intersection", 100, 1000),
+    ("ortho-formula-vs-definition", "check_ortho_formula_vs_definition", 150, 1000),
+    ("ortho-properties", "check_ortho_properties", 300, 1000),
+    ("ortho-noncrossing-r1", "check_noncrossing_r1", 300, 1000),
+    ("singleton-closure", "check_singleton_closure", 150, 1000),
+    ("pair-closure-union", "check_pair_closure_union", 100, 1000),
+    ("crossfree-transfer", "check_crossfree_transfer", 60, 1000),
+    ("essential-roundtrip", "check_essential_roundtrip", 25, 120),
+    ("family-laws", "check_family_laws", 12, 40),
+    ("lowerbound-desk", "check_lower_bound_desk", 1, 1),
+    ("splits-vs-bruteforce", "check_split_enumeration_vs_bruteforce", 40, 200),
+]
+
+
+class TestRegistry:
+    def test_rows_in_report_order(self):
+        rows = [(tag, check.__name__, quick, full) for tag, check, quick, full in REGISTRY]
+        assert rows == REGISTRY_TABLE
+        report = run_verification_suite(seed=99, profile="quick")
+        assert [res.tag for res in report.results] == [tag for tag, *_ in REGISTRY_TABLE]
