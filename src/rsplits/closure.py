@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .bitset import VertexSet
-from .hypergraph import ClosedHypergraph, Hypergraph, closed_from_masks, middles_and_complements
+from .hypergraph import ClosedHypergraph, Hypergraph, middles_and_complements
 
 
 def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
@@ -42,7 +42,7 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
 
 def close_degenerate(h: Hypergraph, r: int) -> ClosedHypergraph:
     """Least family containing h that is closed under K0 and K1 only."""
-    return closed_from_masks(h.n, r, h.masks)
+    return ClosedHypergraph._from_masks(h.n, r, frozenset(middles_and_complements(h.n, r, h.masks)))
 
 
 def check_derived_rules(h: ClosedHypergraph) -> list[str]:

@@ -185,11 +185,6 @@ def middles_and_complements(n: int, r: int, masks: Iterable[int]) -> list[int]:
     return list(dict.fromkeys(middles + [mask ^ full for mask in middles]))
 
 
-def closed_from_masks(n: int, r: int, masks: Iterable[int]) -> ClosedHypergraph:
-    """Least family containing the masks over {1..n} closed under K0 and K1."""
-    return ClosedHypergraph._from_masks(n, r, frozenset(middles_and_complements(n, r, masks)))
-
-
 def equals(h1: ClosedHypergraph, h2: ClosedHypergraph) -> bool:
     """Equality of closed families; comparing across (n, r) is a usage error."""
     if (h1.n, h1.r) != (h2.n, h2.r):

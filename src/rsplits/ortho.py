@@ -156,13 +156,6 @@ class FamilyParams(Frozen):
     def n(self) -> int:
         return self.k * (self.r + 1)
 
-    def vertex_id(self, value: int, color: int) -> int:
-        if not 0 <= value < self.k:
-            raise ValueError(f"value {value} outside 0..{self.k - 1}")
-        if not 1 <= color <= self.r + 1:
-            raise ValueError(f"color {color} outside 1..{self.r + 1}")
-        return (color - 1) * self.k + value + 1
-
 
 def build_family(p: FamilyParams) -> Hypergraph:
     """All sets with one vertex per color whose values sum to 0 mod k.
@@ -179,7 +172,7 @@ def build_family(p: FamilyParams) -> Hypergraph:
             f"(limit {limits.MAX_EXPLICIT_FAMILY})"
         )
     edges = frozenset(
-        VertexSet.of(p.n, (p.vertex_id(v, c) for c, v in enumerate((*free, -sum(free) % p.k), 1)))
+        VertexSet.of(p.n, ((c - 1) * p.k + v + 1 for c, v in enumerate((*free, -sum(free) % p.k), 1)))
         for free in itertools.product(range(p.k), repeat=p.r)
     )
     return Hypergraph(p.n, edges)

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from . import closure, graph, hypergraph, limits
 from .bitset import VertexSet
 from .graph import Graph
-from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError, closed_from_masks
+from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError
 
 
 class NotRankConnectedError(ValueError):
@@ -31,7 +31,7 @@ def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
         raise ValueError("r must be >= 0")
     limits.check_cap(g.n, limits.exhaustive_cap(), "split enumeration")
     sides = [mask for mask, _ in graph.low_rank_cuts(g, r, range(r + 1, g.n - r))]
-    return closed_from_masks(g.n, r, sides)
+    return closure.close_degenerate(Hypergraph._from_masks(g.n, frozenset(sides)), r)
 
 
 def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
@@ -51,7 +51,7 @@ def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
         if rank < r and rank < min(size, n - size):
             raise NotRankConnectedError(f"graph is not {r}-rank connected")
         sides.append(mask)
-    return closed_from_masks(n, r, sides)
+    return closure.close_degenerate(Hypergraph._from_masks(n, frozenset(sides)), r)
 
 
 def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:

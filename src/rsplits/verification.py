@@ -146,7 +146,7 @@ def _sorted_members(closed: ClosedHypergraph) -> list[int]:
 # PropertyResult; `trials` scales the work.  Most are one trial, run
 # `trials` times by `_per_trial`: a trial returns None, the detail of a
 # failure under the check's own tag, or the (sub-tag, detail) of a failure.
-# Six keep loops of their own and register through `_register`.  A check
+# Seven keep loops of their own and register through `_register`.  A check
 # that raises is a FAIL, reported by `run_verification_suite`.
 
 Check = Callable[[random.Random, int], PropertyResult]
@@ -395,14 +395,31 @@ def check_closure_system_intersection(rng: random.Random) -> Failure:
         return f"n={n} r={r}: {exc}"
 
 
-@_per_trial("derived-rules", 100, 1000)
-def check_derived_rules_hold(rng: random.Random) -> Failure:
-    r = rng.randint(1, 3)
-    n = rng.randint(3, 9)
-    closed = random_closed_family(rng, n, r)
-    violations = closure_mod.check_derived_rules(closed)
-    if violations:
-        return f"n={n} r={r}: {violations[0]}"
+# A = {1..5} and B = {3..6} over n = 8 at r = 2: exactly r vertices lie
+# outside A | B, and the middle A & B = {3,4,5} is missing from the K0/K1
+# closure of A and B, so it breaks P1 once and P2 twice.
+DERIVED_RULES_REFUSAL = [
+    "P2 violated by (6,7,8, 3,4,5,6): 3,4,5 missing",
+    "P2 violated by (1,2,7,8, 1,2,3,4,5): 3,4,5 missing",
+    "P1 violated by (3,4,5,6, 1,2,3,4,5): 3,4,5 missing",
+]
+
+
+@_register("derived-rules", 100, 1000)
+def check_derived_rules_hold(rng: random.Random, trials: int) -> PropertyResult:
+    for t in range(trials):
+        r = rng.randint(1, 3)
+        n = rng.randint(3, 9)
+        closed = random_closed_family(rng, n, r)
+        violations = closure_mod.check_derived_rules(closed)
+        if violations:
+            return PropertyResult("derived-rules", t + 1, False, f"n={n} r={r}: {violations[0]}")
+    a, b = VertexSet.of(8, range(1, 6)), VertexSet.of(8, range(3, 7))
+    unclosed = ClosedHypergraph(8, 2, frozenset({a, b, a.complement(), b.complement()}))
+    violations = closure_mod.check_derived_rules(unclosed)
+    if violations != DERIVED_RULES_REFUSAL:
+        return PropertyResult("derived-rules-refusal", trials, False, f"A={a} B={b}: {violations}")
+    return PropertyResult("derived-rules", trials, True)
 
 
 @_per_trial("chain-union", 100, 1000)
@@ -582,6 +599,12 @@ def check_family_laws(rng: random.Random, trials: int) -> PropertyResult:
             edges = family.sorted_edges()
             if any(len(e) != r + 1 for e in edges):
                 return PropertyResult("family-edge-size", checked + 1, False, f"r={r} k={k}")
+            for e in edges:
+                colors, values = zip(*(divmod(v - 1, k) for v in e.members()))
+                if colors != tuple(range(r + 1)) or sum(values) % k:
+                    return PropertyResult(
+                        "family-definition", checked + 1, False, f"r={r} k={k} edge={e}"
+                    )
             for _ in range(min(trials, 40)):
                 a = edges[rng.randrange(len(edges))]
                 b = edges[rng.randrange(len(edges))]

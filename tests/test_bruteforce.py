@@ -353,7 +353,7 @@ def raise_on_call(*args, **kwargs):
 # fault -> (module, routine, its broken version, the failing tags of the
 # quick suite in report order, the same at seeds 99, 4 and 2024).
 # The first three are faults in routines the suite reaches through their
-# modules; the last three are one-line mutants of a law's bound or test.
+# modules; the last five are one-line mutants of a law's bound or test.
 FAULTS = {
     "normalize-raises": (
         rsplits.hypergraph, "normalize", raise_on_call,
@@ -386,6 +386,17 @@ FAULTS = {
         source_mutant(rsplits.hypergraph, "normalize",
                       "(a & b).bit_count() >= r", "(a & b).bit_count() > r"),
         ["normalize-k2-refusal"],
+    ),
+    "derived-rules-p1-strict": (
+        rsplits.closure, "check_derived_rules",
+        source_mutant(rsplits.closure, "check_derived_rules",
+                      "n - (a | b).bit_count() >= r", "n - (a | b).bit_count() > r"),
+        ["derived-rules-refusal"],
+    ),
+    "family-residue-shifted": (
+        rsplits.ortho, "build_family",
+        source_mutant(rsplits.ortho, "build_family", "-sum(free) % p.k", "(1 - sum(free)) % p.k"),
+        ["family-definition"],
     ),
 }
 
