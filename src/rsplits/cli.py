@@ -2,8 +2,9 @@
 
 Exit codes follow one contract: 0 means true/success, 1 means a queried
 property is false or a required hypothesis fails, 2 means a parse or
-usage error.  Output to a pipe that its reader has closed ends in exit 1,
-with nothing on stderr.
+usage error.  `_report` applies it to a command's verdict, and `main`
+applies it to the exceptions a command raises.  Output to a pipe that its
+reader has closed ends in exit 1, with nothing on stderr.
 
 `ortho` and `verification` are imported inside the commands that use
 them, so a graph command such as `rsplit verify -g` never loads them.
@@ -23,7 +24,6 @@ from .closure import close_degenerate, close_full
 from .graph import GRAPH_FORMAT_HELP, cut_rank, is_r_rank_connected, parse_graph
 from .hypergraph import (
     HYPERGRAPH_FORMAT_HELP,
-    ClosedHypergraph,
     format_closed,
     format_hypergraph,
     parse_closed,
@@ -59,11 +59,6 @@ def _number(token: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _write_out(text: str, out: Optional[str]) -> None:
     """Write to the -o path, or to stdout without one; a failed write is a usage error."""
     if out is None:
@@ -75,27 +70,22 @@ def _write_out(text: str, out: Optional[str]) -> None:
         raise ValueError(f"cannot write {out}: {exc}") from None
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
+def _report(args: argparse.Namespace, payload: dict, lines: list[str], ok: bool = True) -> int:
+    """Print a command's result, as one JSON object under --json and as text
+    lines otherwise, and return its exit code: 0 when `ok`, 1 when not."""
+    if args.json:
+        print(json.dumps({"command": args.command, **payload}, sort_keys=True))
     else:
         for line in lines:
             print(line)
-
-
-def _load_closed(path: str, r: int) -> ClosedHypergraph:
-    closed = _load(parse_closed, path)
-    if closed.r != r:
-        raise ValueError(f"file declares r={closed.r}, command asked for r={r}")
-    return closed
+    return 0 if ok else 1
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     g = _load(parse_graph, args.graph)
     x = VertexSet.parse(g.n, args.set)
     rank = cut_rank(g, x)
-    _emit({"command": "rank", "n": g.n, "set": str(x), "rank": rank}, args.json, [str(rank)])
-    return 0
+    return _report(args, {"n": g.n, "set": str(x), "rank": rank}, [str(rank)])
 
 
 def cmd_splits(args: argparse.Namespace) -> int:
@@ -108,12 +98,8 @@ def cmd_splits(args: argparse.Namespace) -> int:
 def cmd_connected(args: argparse.Namespace) -> int:
     g = _load(parse_graph, args.graph)
     verdict = is_r_rank_connected(g, args.r)
-    _emit(
-        {"command": "connected", "n": g.n, "r": args.r, "r_rank_connected": verdict},
-        args.json,
-        [f"{args.r}-rank connected" if verdict else f"not {args.r}-rank connected"],
-    )
-    return 0 if verdict else 1
+    line = f"{args.r}-rank connected" if verdict else f"not {args.r}-rank connected"
+    return _report(args, {"n": g.n, "r": args.r, "r_rank_connected": verdict}, [line], verdict)
 
 
 def cmd_essential(args: argparse.Namespace) -> int:
@@ -130,15 +116,13 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_member(args: argparse.Namespace) -> int:
-    closed = _load_closed(args.hypergraph, args.r)
+    closed = _load(parse_closed, args.hypergraph)
+    if closed.r != args.r:
+        raise ValueError(f"file declares r={closed.r}, command asked for r={args.r}")
     x = VertexSet.parse(closed.n, args.set)
     verdict = closed.contains(x)
-    _emit(
-        {"command": "member", "n": closed.n, "r": args.r, "set": str(x), "member": verdict},
-        args.json,
-        ["member" if verdict else "not a member"],
-    )
-    return 0 if verdict else 1
+    payload = {"n": closed.n, "r": args.r, "set": str(x), "member": verdict}
+    return _report(args, payload, ["member" if verdict else "not a member"], verdict)
 
 
 def cmd_ortho(args: argparse.Namespace) -> int:
@@ -146,24 +130,10 @@ def cmd_ortho(args: argparse.Namespace) -> int:
 
     a = VertexSet.parse(args.n, args.set_a)
     b = VertexSet.parse(args.n, args.set_b)
-    if args.oracle:
-        verdict = is_orthogonal_oracle(a, b, args.r)
-    else:
-        verdict = is_orthogonal(a, b, args.r)
-    _emit(
-        {
-            "command": "ortho",
-            "n": args.n,
-            "r": args.r,
-            "a": str(a),
-            "b": str(b),
-            "mode": "definition" if args.oracle else "formula",
-            "orthogonal": verdict,
-        },
-        args.json,
-        ["orthogonal" if verdict else "crossing"],
-    )
-    return 0 if verdict else 1
+    verdict = (is_orthogonal_oracle if args.oracle else is_orthogonal)(a, b, args.r)
+    payload = {"n": args.n, "r": args.r, "a": str(a), "b": str(b),
+               "mode": "definition" if args.oracle else "formula", "orthogonal": verdict}
+    return _report(args, payload, ["orthogonal" if verdict else "crossing"], verdict)
 
 
 def cmd_crossfree(args: argparse.Namespace) -> int:
@@ -171,18 +141,10 @@ def cmd_crossfree(args: argparse.Namespace) -> int:
 
     h = _load(parse_hypergraph, args.hypergraph)
     crossing = find_crossing_pair(h, args.r)
-    payload = {
-        "command": "crossfree",
-        "n": h.n,
-        "r": args.r,
-        "cross_free": crossing is None,
-        "crossing_pair": None if crossing is None else [str(crossing[0]), str(crossing[1])],
-    }
-    if crossing is None:
-        _emit(payload, args.json, ["cross-free"])
-        return 0
-    _emit(payload, args.json, [f"crossing pair: {crossing[0]} {crossing[1]}"])
-    return 1
+    pair = None if crossing is None else [str(x) for x in crossing]
+    payload = {"n": h.n, "r": args.r, "cross_free": pair is None, "crossing_pair": pair}
+    line = "cross-free" if pair is None else f"crossing pair: {pair[0]} {pair[1]}"
+    return _report(args, payload, [line], pair is None)
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -212,17 +174,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         f"cap {report.closure_total} <= {report.closure_cap}: "
         + ("holds" if report.cap_holds else "VIOLATED"),
     ]
-    _emit({"command": "bounds", **report.to_dict()}, args.json, lines)
-    return 0 if report.passed else 1
+    return _report(args, report.to_dict(), lines, report.passed)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is None and args.r is not None:
-        return _usage_error("-r needs -g")
+        raise ValueError("-r needs -g")
     if args.graph is not None:
         for flag, value in (("--seed", args.seed), ("--profile", args.profile)):
             if value is not None:
-                return _usage_error(f"{flag} cannot be used with -g")
+                raise ValueError(f"{flag} cannot be used with -g")
         g = _load(parse_graph, args.graph)
         report = verify_representation(g, args.r if args.r is not None else 1)
         lines = [
@@ -232,20 +193,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"closure round trip  {'ok' if report.closure_matches else 'MISMATCH'}",
             "PASS" if report.passed else "FAIL",
         ]
-        _emit({"command": "verify", **report.to_dict()}, args.json, lines)
-        return 0 if report.passed else 1
+        return _report(args, report.to_dict(), lines, report.passed)
     from .verification import run_verification_suite
 
     suite = run_verification_suite(
         seed=2024 if args.seed is None else args.seed,
         profile=args.profile or "quick",
     )
-    _emit(
-        {"command": "verify", **suite.to_dict()},
-        args.json,
-        suite.format_lines().splitlines(),
-    )
-    return 0 if suite.passed else 1
+    return _report(args, suite.to_dict(), suite.format_lines().splitlines(), suite.passed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,11 +283,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except NotRankConnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, NotRankConnectedError) else 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import closure, graph, hypergraph, limits
-from .bitset import VertexSet
+from .bitset import VertexSet, mask_sort_key
 from .graph import Graph
 from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError
 
@@ -78,7 +78,7 @@ def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
 def essential_representation(h: ClosedHypergraph) -> Hypergraph:
     """The deduplicated image of phi over all (r+1)-subsets of {1..n}.  Only the
     sets in phi's index have an image; they are visited in lexicographic order."""
-    covered = sorted(h._half_size_meets, key=lambda x: [i for i in range(h.n) if x >> i & 1])
+    covered = sorted(h._half_size_meets, key=mask_sort_key)
     return Hypergraph(h.n, frozenset(phi(h, VertexSet(h.n, x)) for x in covered))
 
 

@@ -69,7 +69,7 @@ class SuiteReport(NamedTuple):
 
 
 def random_vertex_set(rng: random.Random, n: int) -> VertexSet:
-    return VertexSet(n, rng.getrandbits(n) if n else 0)
+    return VertexSet(n, rng.getrandbits(n))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -110,11 +110,11 @@ def random_closed_family(rng: random.Random, n: int, r: int) -> ClosedHypergraph
     return closure_mod.close_full(random_hypergraph(rng, n, max_edges=3, max_size=max(2, n // 2)), r)
 
 
-def _rank_connected_pool(rng: random.Random, r: int, count: int) -> list[Graph]:
-    """Search random connected graphs for r-rank connected ones."""
+def _rank_connected_pool(rng: random.Random, r: int) -> list[Graph]:
+    """Search random connected graphs for six r-rank connected ones."""
     pool: list[Graph] = []
     attempts = 0
-    while len(pool) < count and attempts < 4000:
+    while len(pool) < 6 and attempts < 4000:
         attempts += 1
         n = rng.randint(max(4, 2 * r), 8)
         g = random_connected_graph(rng, n)
@@ -196,7 +196,7 @@ def _transpose(rows: tuple[int, ...], n_cols: int) -> tuple[int, ...]:
 def check_gf2_rank_laws(rng: random.Random) -> Failure:
     n_rows = rng.randint(0, 7)
     n_cols = rng.randint(0, 7)
-    rows = tuple(rng.getrandbits(n_cols) if n_cols else 0 for _ in range(n_rows))
+    rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
     rank = bitset.rank_of_rows(rows)
     if (rank == 0) != (not any(rows)):
         return "gf2-rank-zero", f"rows={rows} rank={rank}"
@@ -271,7 +271,7 @@ def _split_pairs(g: Graph, r: int) -> list[tuple[int, int]]:
 def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
     done = 0
     for r in (1, 2):
-        pool = _rank_connected_pool(rng, r, 6)
+        pool = _rank_connected_pool(rng, r)
         candidates = [(g, _split_pairs(g, r)) for g in pool]
         candidates = [(g, pairs) for g, pairs in candidates if pairs]
         per_r = trials - done if r == 2 else trials // 2
@@ -291,7 +291,7 @@ def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
 def check_middle_rank_floor(rng: random.Random, trials: int) -> PropertyResult:
     done = 0
     for r in (1, 2):
-        pool = _rank_connected_pool(rng, r, 6)
+        pool = _rank_connected_pool(rng, r)
         per_r = trials - done if r == 2 else trials // 2
         for _ in range(per_r):
             g = pool[rng.randrange(len(pool))]
@@ -458,7 +458,7 @@ def _random_pair(rng: random.Random, n: int) -> tuple[VertexSet, VertexSet]:
     """A pair biased toward subset/disjoint/complement shapes, so properties
     whose antecedent is orthogonality get exercised often."""
     a = random_vertex_set(rng, n)
-    noise = rng.getrandbits(n) if n else 0
+    noise = rng.getrandbits(n)
     style = rng.randrange(4)
     if style == 0:
         b = VertexSet(n, noise)

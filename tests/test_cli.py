@@ -16,6 +16,7 @@ from rsplits.cli import build_parser, main
 from rsplits.graph import GRAPH_FORMAT_HELP, format_graph, parse_graph
 from rsplits.hypergraph import HYPERGRAPH_FORMAT_HELP, equals, parse_closed, parse_hypergraph
 from rsplits.splits import enumerate_r_splits
+from rsplits.verification import run_verification_suite
 
 SRC = str(Path(rsplits.__file__).resolve().parent.parent)
 
@@ -118,6 +119,76 @@ class TestOptionTable:
         assert exc.value.code == 0
         listed = set(re.findall(r"(?<![\w-])--?\w[\w-]*", capsys.readouterr().out))
         assert {"-h", "--help", *HELP_FLAGS[command]} <= listed
+
+
+CONTRACT_FILES = {
+    "c6.txt": "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n",
+    "two-edges.txt": "4 2\n1 2\n3 4\n",
+    "cross.txt": "6\n1,2,3\n3,4,5\n",
+    "nocross.txt": "6\n1,2,3\n4,5\n",
+}
+
+# The result contract of every reporting subcommand, one row per verdict:
+# argv (files as in CONTRACT_FILES, plus c6.closed, the 2-splits of C6),
+# exit code, the text lines, and the --json object apart from its "command".
+# The suite's row takes its lines and object from the suite's own report.
+CONTRACT = [
+    (["rank", "-g", "c6.txt", "-X", "1,2"], 0, ["2"], {"n": 6, "rank": 2, "set": "1,2"}),
+    (["connected", "-g", "c6.txt", "-r", "2"], 0, ["2-rank connected"],
+     {"n": 6, "r": 2, "r_rank_connected": True}),
+    (["connected", "-g", "two-edges.txt", "-r", "1"], 1, ["not 1-rank connected"],
+     {"n": 4, "r": 1, "r_rank_connected": False}),
+    (["member", "-H", "c6.closed", "-r", "2", "-X", "1,2"], 0, ["member"],
+     {"n": 6, "r": 2, "set": "1,2", "member": True}),
+    (["member", "-H", "c6.closed", "-r", "2", "-X", "1,2,4"], 1, ["not a member"],
+     {"n": 6, "r": 2, "set": "1,2,4", "member": False}),
+    (["ortho", "-n", "6", "-r", "1", "-A", "1,2", "-B", "1,2,3"], 0, ["orthogonal"],
+     {"n": 6, "r": 1, "a": "1,2", "b": "1,2,3", "mode": "formula", "orthogonal": True}),
+    (["ortho", "-n", "6", "-r", "1", "-A", "1,2,3", "-B", "3,4,5", "--oracle"], 1, ["crossing"],
+     {"n": 6, "r": 1, "a": "1,2,3", "b": "3,4,5", "mode": "definition", "orthogonal": False}),
+    (["crossfree", "-H", "nocross.txt", "-r", "1"], 0, ["cross-free"],
+     {"n": 6, "r": 1, "cross_free": True, "crossing_pair": None}),
+    (["crossfree", "-H", "cross.txt", "-r", "1"], 1, ["crossing pair: 1,2,3 3,4,5"],
+     {"n": 6, "r": 1, "cross_free": False, "crossing_pair": ["1,2,3", "3,4,5"]}),
+    (["bounds", "-H", "nocross.txt", "-r", "1"], 0,
+     ["middle edges        2", "closure middles     4", "closure total       18",
+      "closure cap         28", "chain 2 <= 4 <= 4: holds", "cap 18 <= 28: holds"],
+     {"n": 6, "r": 1, "edge_count": 2, "middle_edges": 2, "closure_middles": 4,
+      "closure_total": 18, "closure_cap": 28, "chain_holds": True, "cap_holds": True,
+      "passed": True}),
+    (["verify", "-g", "c6.txt", "-r", "2"], 0,
+     ["splits (middles)    8", "essential members   8", "essential bound     20",
+      "closure round trip  ok", "PASS"],
+     {"n": 6, "r": 2, "middle_count": 8, "essential_count": 8, "essential_bound": 20,
+      "closure_matches": True, "passed": True}),
+    (["verify", "--seed", "99"], 0, None, None),
+]
+
+
+class TestResultContract:
+    def test_every_reporting_subcommand_has_a_row(self):
+        assert {argv[0] for argv, *_ in CONTRACT} == {
+            command for command, flags in HELP_FLAGS.items() if "--json" in flags}
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, code, lines, payload", CONTRACT,
+                             ids=[" ".join(argv) for argv, *_ in CONTRACT])
+    def test_row(self, tmp_path, monkeypatch, capsys, argv, code, lines, payload, as_json):
+        monkeypatch.chdir(tmp_path)
+        for name, text in CONTRACT_FILES.items():
+            (tmp_path / name).write_text(text)
+        assert main(["splits", "-g", "c6.txt", "-r", "2", "-o", "c6.closed"]) == 0
+        if lines is None:
+            suite = run_verification_suite(seed=99, profile="quick")
+            lines, payload = suite.format_lines().splitlines(), suite.to_dict()
+        assert main(argv + ["--json"] * as_json) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        if as_json:
+            assert json.loads(out) == {"command": argv[0], **payload}
+            assert out.count("\n") == 1
+        else:
+            assert out.splitlines() == lines
 
 
 class TestRank:
