@@ -3,12 +3,14 @@ on, each checked against independent brute-force routes where one exists.
 
 Each property is declared once, on the decorator that registers it with its
 tag and its trial counts for the quick and full profiles; REGISTRY lists
-them in definition order, which is the report order.  All randomness flows
-from a single seeded generator, so a given (seed, profile) pair produces a
-byte-identical report.  Engine entry points are called through their
-modules, which lets tests inject broken routines and confirm that the suite
-catches them.  A check that raises, as a broken engine may, is reported as
-a FAIL line and the suite goes on.
+them in definition order, which is the report order.  A check returns only
+the count of trials it ran and its failure, if any; `_register` builds the
+one PropertyResult from them.  All randomness flows from a single seeded
+generator, so a given (seed, profile) pair produces a byte-identical report.
+Engine entry points are called through their modules, which lets tests
+inject broken routines and confirm that the suite catches them.  A check
+that raises, as a broken engine may, is reported as a FAIL line and the
+suite goes on.
 """
 
 from __future__ import annotations
@@ -142,25 +144,37 @@ def _sorted_members(closed: ClosedHypergraph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Property checks, registered in report order.  Each returns a
-# PropertyResult; `trials` scales the work.  Most are one trial, run
-# `trials` times by `_per_trial`: a trial returns None, the detail of a
-# failure under the check's own tag, or the (sub-tag, detail) of a failure.
-# Seven keep loops of their own and register through `_register`.  A check
-# that raises is a FAIL, reported by `run_verification_suite`.
+# Property checks, registered in report order; `trials` scales the work.
+# A check returns the count of trials it ran and its failure: None, a detail
+# under the check's own tag, or a (sub-tag, detail) pair.  Only `_register`
+# builds the PropertyResult.  Seventeen checks are one trial, run `trials`
+# times by `_per_trial`; eight keep loops of their own and register through
+# `_register`.  A check that raises is a FAIL, reported by
+# `run_verification_suite`.
 
-Check = Callable[[random.Random, int], PropertyResult]
 Failure = str | tuple[str, str] | None
+Outcome = tuple[int, Failure]
+Body = Callable[[random.Random, int], Outcome]
+Check = Callable[[random.Random, int], PropertyResult]
 Trial = Callable[[random.Random], Failure]
 
 # (tag, check, quick trials, full trials), in report order.
 REGISTRY: list[tuple[str, Check, int, int]] = []
 
 
-def _register(tag: str, quick: int, full: int) -> Callable[[Check], Check]:
-    """Append a check to REGISTRY under `tag`, with its trial counts."""
+def _register(tag: str, quick: int, full: int) -> Callable[[Body], Check]:
+    """Append a check to REGISTRY under `tag`, with its trial counts; the
+    registered check reports `body`'s outcome as a PropertyResult."""
 
-    def wrap(check: Check) -> Check:
+    def wrap(body: Body) -> Check:
+        @functools.wraps(body)
+        def check(rng: random.Random, trials: int) -> PropertyResult:
+            done, failure = body(rng, trials)
+            if failure is None:
+                return PropertyResult(tag, done, True)
+            sub_tag, detail = (tag, failure) if isinstance(failure, str) else failure
+            return PropertyResult(sub_tag, done, False, detail)
+
         REGISTRY.append((tag, check, quick, full))
         return check
 
@@ -168,19 +182,18 @@ def _register(tag: str, quick: int, full: int) -> Callable[[Check], Check]:
 
 
 def _per_trial(tag: str, quick: int, full: int) -> Callable[[Trial], Check]:
-    """Register a check that runs `trial` `trials` times and passes under `tag`."""
+    """Register a check that runs `trial` `trials` times, stopping at a failure."""
 
     def wrap(trial: Trial) -> Check:
         @functools.wraps(trial)
-        def check(rng: random.Random, trials: int) -> PropertyResult:
+        def body(rng: random.Random, trials: int) -> Outcome:
             for t in range(trials):
                 failure = trial(rng)
                 if failure is not None:
-                    sub_tag, detail = (tag, failure) if isinstance(failure, str) else failure
-                    return PropertyResult(sub_tag, t + 1, False, detail)
-            return PropertyResult(tag, trials, True)
+                    return t + 1, failure
+            return trials, None
 
-        return _register(tag, quick, full)(check)
+        return _register(tag, quick, full)(body)
 
     return wrap
 
@@ -268,7 +281,7 @@ def _split_pairs(g: Graph, r: int) -> list[tuple[int, int]]:
 
 
 @_register("split-union", 200, 1000)
-def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
+def check_split_union(rng: random.Random, trials: int) -> Outcome:
     done = 0
     for r in (1, 2):
         pool = _rank_connected_pool(rng, r)
@@ -280,15 +293,13 @@ def check_split_union(rng: random.Random, trials: int) -> PropertyResult:
             x, y = pairs[rng.randrange(len(pairs))]
             if not graph_mod.is_r_split(g, VertexSet(g.n, x | y), r):
                 x, y = VertexSet(g.n, x), VertexSet(g.n, y)
-                return PropertyResult(
-                    "split-union", done + 1, False, f"r={r} g={g.edges()} X={x} Y={y}"
-                )
+                return done + 1, f"r={r} g={g.edges()} X={x} Y={y}"
             done += 1
-    return PropertyResult("split-union", done, True)
+    return done, None
 
 
 @_register("middle-rank-floor", 200, 1000)
-def check_middle_rank_floor(rng: random.Random, trials: int) -> PropertyResult:
+def check_middle_rank_floor(rng: random.Random, trials: int) -> Outcome:
     done = 0
     for r in (1, 2):
         pool = _rank_connected_pool(rng, r)
@@ -297,15 +308,13 @@ def check_middle_rank_floor(rng: random.Random, trials: int) -> PropertyResult:
             g = pool[rng.randrange(len(pool))]
             x = random_vertex_set(rng, g.n)
             if r <= len(x) <= g.n - r and graph_mod.cut_rank(g, x) < r:
-                return PropertyResult(
-                    "middle-rank-floor", done + 1, False, f"r={r} g={g.edges()} X={x}"
-                )
+                return done + 1, f"r={r} g={g.edges()} X={x}"
             done += 1
-    return PropertyResult("middle-rank-floor", done, True)
+    return done, None
 
 
 @_register("trivial-closure-census", 1, 1)
-def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyResult:
+def check_trivial_closure_census(rng: random.Random, trials: int) -> Outcome:
     combos = 0
     for n in range(0, 13):
         sets = [VertexSet(n, mask) for mask in range(1 << n)]
@@ -313,15 +322,11 @@ def check_trivial_closure_census(rng: random.Random, trials: int) -> PropertyRes
             empty = ClosedHypergraph(n, r, frozenset())
             count = sum(map(empty.contains, sets))
             if count != hypergraph.trivial_closure_size(n, r):
-                return PropertyResult("trivial-closure-census", combos + 1, False, f"n={n} r={r}")
-            if n > 2 * r:
-                expected = 2 * sum(math.comb(n, i) for i in range(r + 1))
-                if count != expected:
-                    return PropertyResult(
-                        "trivial-closure-census", combos + 1, False, f"n={n} r={r} formula"
-                    )
+                return combos + 1, f"n={n} r={r}"
+            if n > 2 * r and count != 2 * sum(math.comb(n, i) for i in range(r + 1)):
+                return combos + 1, f"n={n} r={r} formula"
             combos += 1
-    return PropertyResult("trivial-closure-census", combos, True)
+    return combos, None
 
 
 @_per_trial("closure-vs-bruteforce", 60, 500)
@@ -358,28 +363,33 @@ def check_closure_operator_laws(rng: random.Random) -> Failure:
         return "degenerate-below-full", f"n={n} r={r}"
 
 
-@_per_trial("normalize-idempotent", 60, 300)
-def check_normalize_idempotent(rng: random.Random) -> Failure:
-    r = rng.randint(0, 3)
-    n = rng.randint(2, 9)
-    closed = random_closed_family(rng, n, r)
-    explicit = closed.materialize()
-    renorm = hypergraph.normalize(explicit, r)
-    if not hypergraph.equals(renorm, closed):
-        return f"n={n} r={r}"
-    if not all(closed.contains(a) == closed.contains(a.complement()) for a in closed.middles):
-        return "contains-complement", f"n={n} r={r}"
-    if n > 2 * r + 2:
-        # A = {1..r+1} and B = {2..r+2} meet in exactly r vertices and their
-        # union is a middle, so their K0/K1 closure (A, B, their complements
-        # and the trivial part of `explicit`) breaks K2.
-        a, b, full = (1 << r + 1) - 1, (1 << r + 2) - 2, (1 << n) - 1
-        unclosed = (explicit.masks - closed.masks) | {a, b, full ^ a, full ^ b}
-        try:
-            hypergraph.normalize(Hypergraph._from_masks(n, unclosed), r)
-        except hypergraph.NotClosedError:
-            return None
-        return "normalize-k2-refusal", f"n={n} r={r} A={VertexSet(n, a)} B={VertexSet(n, b)}"
+@_register("normalize-idempotent", 60, 300)
+def check_normalize_idempotent(rng: random.Random, trials: int) -> Outcome:
+    for t in range(trials):
+        r = rng.randint(0, 3)
+        n = rng.randint(2, 9)
+        closed = random_closed_family(rng, n, r)
+        if not hypergraph.equals(hypergraph.normalize(closed.materialize(), r), closed):
+            return t + 1, f"n={n} r={r}"
+        if not all(closed.contains(a) == closed.contains(a.complement()) for a in closed.middles):
+            return t + 1, ("contains-complement", f"n={n} r={r}")
+    # Once per call, for each n <= 9 and r <= 3 with n > 2r + 2: A = {1..r+1}
+    # and B = {2..r+2} meet in exactly r vertices and their union is a
+    # middle, so their K0/K1 closure (A, B, their complements and the
+    # trivial part) breaks K2.
+    for r in range(4):
+        a, b = (1 << r + 1) - 1, (1 << r + 2) - 2
+        for n in range(2 * r + 3, 10):
+            full = (1 << n) - 1
+            unclosed = ClosedHypergraph(n, r, frozenset()).materialize().masks
+            unclosed |= {a, b, full ^ a, full ^ b}
+            try:
+                hypergraph.normalize(Hypergraph._from_masks(n, unclosed), r)
+            except hypergraph.NotClosedError:
+                continue
+            x, y = VertexSet(n, a), VertexSet(n, b)
+            return trials, ("normalize-k2-refusal", f"n={n} r={r} A={x} B={y}")
+    return trials, None
 
 
 @_per_trial("closure-system-intersection", 40, 200)
@@ -406,20 +416,20 @@ DERIVED_RULES_REFUSAL = [
 
 
 @_register("derived-rules", 100, 1000)
-def check_derived_rules_hold(rng: random.Random, trials: int) -> PropertyResult:
+def check_derived_rules_hold(rng: random.Random, trials: int) -> Outcome:
     for t in range(trials):
         r = rng.randint(1, 3)
         n = rng.randint(3, 9)
         closed = random_closed_family(rng, n, r)
         violations = closure_mod.check_derived_rules(closed)
         if violations:
-            return PropertyResult("derived-rules", t + 1, False, f"n={n} r={r}: {violations[0]}")
+            return t + 1, f"n={n} r={r}: {violations[0]}"
     a, b = VertexSet.of(8, range(1, 6)), VertexSet.of(8, range(3, 7))
     unclosed = ClosedHypergraph(8, 2, frozenset({a, b, a.complement(), b.complement()}))
     violations = closure_mod.check_derived_rules(unclosed)
     if violations != DERIVED_RULES_REFUSAL:
-        return PropertyResult("derived-rules-refusal", trials, False, f"A={a} B={b}: {violations}")
-    return PropertyResult("derived-rules", trials, True)
+        return trials, ("derived-rules-refusal", f"A={a} B={b}: {violations}")
+    return trials, None
 
 
 @_per_trial("chain-union", 100, 1000)
@@ -560,7 +570,7 @@ def check_crossfree_transfer(rng: random.Random) -> Failure:
 
 
 @_register("essential-roundtrip", 25, 120)
-def check_essential_roundtrip(rng: random.Random, trials: int) -> PropertyResult:
+def check_essential_roundtrip(rng: random.Random, trials: int) -> Outcome:
     done = 0
     while done < trials:
         n = rng.randint(4, 9)
@@ -570,70 +580,55 @@ def check_essential_roundtrip(rng: random.Random, trials: int) -> PropertyResult
                 report = splits_mod.verify_representation(g, r)
             except splits_mod.NotRankConnectedError:
                 if r == 1:  # every connected graph is 1-rank connected
-                    detail = f"r=1 g={g.edges()}: connected but refused"
-                    return PropertyResult("essential-roundtrip", done + 1, False, detail)
+                    return done + 1, f"r=1 g={g.edges()}: connected but refused"
                 continue
             done += 1
             if not report.passed:
-                return PropertyResult(
-                    "essential-roundtrip", done, False, f"r={r} g={g.edges()}"
-                )
+                return done, f"r={r} g={g.edges()}"
             if report.essential_bound != math.comb(n, r + 1):
-                return PropertyResult(
-                    "essential-bound", done, False, f"r={r} n={n} bound={report.essential_bound}"
-                )
+                return done, ("essential-bound", f"r={r} n={n} bound={report.essential_bound}")
             if done >= trials:
                 break
-    return PropertyResult("essential-roundtrip", done, True)
+    return done, None
 
 
 @_register("family-laws", 12, 40)
-def check_family_laws(rng: random.Random, trials: int) -> PropertyResult:
-    checked = 0
-    for r in (1, 2, 3):
-        for k in (2, 3, 4, 5):
-            params = FamilyParams(r, k)
-            family = ortho_mod.build_family(params)
-            if len(family) != k**r:
-                return PropertyResult("family-count", checked + 1, False, f"r={r} k={k}")
-            edges = family.sorted_edges()
-            if any(len(e) != r + 1 for e in edges):
-                return PropertyResult("family-edge-size", checked + 1, False, f"r={r} k={k}")
-            for e in edges:
-                colors, values = zip(*(divmod(v - 1, k) for v in e.members()))
-                if colors != tuple(range(r + 1)) or sum(values) % k:
-                    return PropertyResult(
-                        "family-definition", checked + 1, False, f"r={r} k={k} edge={e}"
-                    )
-            for _ in range(min(trials, 40)):
-                a = edges[rng.randrange(len(edges))]
-                b = edges[rng.randrange(len(edges))]
-                if a != b and len(a & b) >= r:
-                    return PropertyResult(
-                        "family-intersection-sharpness", checked + 1, False, f"r={r} k={k} A={a} B={b}"
-                    )
-            try:
-                bounds = ortho_mod.crossfree_size_bounds(family, r)
-            except ortho_mod.NotCrossFreeError:
-                return PropertyResult("family-crossfree", checked + 1, False, f"r={r} k={k}")
-            if not bounds.passed:
-                return PropertyResult("crossfree-size-chain", checked + 1, False, f"r={r} k={k}")
-            if bounds.closure_cap != 2 * (r + 1) * family.n**r + 2 * len(family):
-                return PropertyResult(
-                    "closure-cap", checked + 1, False, f"r={r} k={k} cap={bounds.closure_cap}"
-                )
-            checked += 1
-    return PropertyResult("family-laws", checked, True)
+def check_family_laws(rng: random.Random, trials: int) -> Outcome:
+    cases = list(itertools.product((1, 2, 3), (2, 3, 4, 5)))
+    for case, (r, k) in enumerate(cases, 1):
+        family = ortho_mod.build_family(FamilyParams(r, k))
+        if len(family) != k**r:
+            return case, ("family-count", f"r={r} k={k}")
+        edges = family.sorted_edges()
+        if any(len(e) != r + 1 for e in edges):
+            return case, ("family-edge-size", f"r={r} k={k}")
+        for e in edges:
+            colors, values = zip(*(divmod(v - 1, k) for v in e.members()))
+            if colors != tuple(range(r + 1)) or sum(values) % k:
+                return case, ("family-definition", f"r={r} k={k} edge={e}")
+        for _ in range(min(trials, 40)):
+            a = edges[rng.randrange(len(edges))]
+            b = edges[rng.randrange(len(edges))]
+            if a != b and len(a & b) >= r:
+                return case, ("family-intersection-sharpness", f"r={r} k={k} A={a} B={b}")
+        try:
+            bounds = ortho_mod.crossfree_size_bounds(family, r)
+        except ortho_mod.NotCrossFreeError:
+            return case, ("family-crossfree", f"r={r} k={k}")
+        if not bounds.passed:
+            return case, ("crossfree-size-chain", f"r={r} k={k}")
+        if bounds.closure_cap != 2 * (r + 1) * family.n**r + 2 * len(family):
+            return case, ("closure-cap", f"r={r} k={k} cap={bounds.closure_cap}")
+    return len(cases), None
 
 
 @_register("lowerbound-desk", 1, 1)
-def check_lower_bound_desk(rng: random.Random, trials: int) -> PropertyResult:
+def check_lower_bound_desk(rng: random.Random, trials: int) -> Outcome:
     cases = ((1, 2), (1, 4), (2, 3))
     for case, (r, k) in enumerate(cases, 1):
-        report = ortho_mod.verify_lower_bound(FamilyParams(r, k))
-        if not report.passed:
-            return PropertyResult("lowerbound-desk", case, False, f"r={r} k={k}")
-    return PropertyResult("lowerbound-desk", len(cases), True)
+        if not ortho_mod.verify_lower_bound(FamilyParams(r, k)).passed:
+            return case, f"r={r} k={k}"
+    return len(cases), None
 
 
 @_per_trial("splits-vs-bruteforce", 40, 200)

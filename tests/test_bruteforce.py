@@ -38,6 +38,7 @@ from rsplits.verification import (
     check_chain_union,
     check_half_side_intersection,
     check_lower_bound_desk,
+    check_normalize_idempotent,
     check_submodularity,
     property_rng,
     random_closed_family,
@@ -401,6 +402,48 @@ FAULTS = {
 }
 
 
+# The quick suite's report at seed 2024, byte for byte.
+QUICK_2024 = """\
+PASS gf2-rank-laws trials=200
+PASS set-cardinality-identity trials=300
+PASS cutrank-vs-bruteforce trials=80
+PASS cutrank-symmetry-bound trials=200
+PASS cutrank-submodular trials=200
+PASS split-union trials=200
+PASS middle-rank-floor trials=200
+PASS trivial-closure-census trials=52
+PASS closure-vs-bruteforce trials=60
+PASS closure-operator-laws trials=60
+PASS normalize-idempotent trials=60
+PASS closure-system-intersection trials=40
+PASS derived-rules trials=100
+PASS chain-union trials=100
+PASS half-side-intersection trials=100
+PASS ortho-formula-vs-definition trials=150
+PASS ortho-properties trials=300
+PASS ortho-noncrossing-r1 trials=300
+PASS singleton-closure trials=150
+PASS pair-closure-union trials=100
+PASS crossfree-transfer trials=60
+PASS essential-roundtrip trials=25
+PASS family-laws trials=12
+PASS lowerbound-desk trials=3
+PASS splits-vs-bruteforce trials=40
+"""
+
+# The lines that differ from QUICK_2024 under break_cut_rank, by line index.
+BROKEN_RANK_2024 = {
+    2: "FAIL cutrank-vs-bruteforce g=[(1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (3, 6), "
+       "(4, 5), (5, 6)] X=3,5: 1 vs 2",
+    3: "FAIL cutrank-symmetry g=[(1, 2), (1, 3), (1, 4), (1, 8), (1, 9), (2, 7), (3, 9), (4, 9), "
+       "(5, 6), (5, 7), (5, 8), (6, 8), (7, 8)] X=3,5,6,8",
+    4: "FAIL cutrank-submodular g=[(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 3), (2, 4), "
+       "(2, 7), (3, 4), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 8), (7, 8), "
+       "(7, 9), (8, 9)] X=1,3,5,6,7,8,9 Y=1,2,3,6,7,9: 5 > 4",
+    6: "FAIL middle-rank-floor r=2 g=[(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6), "
+       "(3, 6), (4, 5), (4, 6), (5, 6)] X=2,3,4,5",
+}
+
 TRUE_CLOSE_FULL = rsplits.closure.close_full
 
 
@@ -422,6 +465,16 @@ class TestVerificationSuite:
         first = run_verification_suite(seed=4, profile="quick")
         second = run_verification_suite(seed=4, profile="quick")
         assert first.format_lines() == second.format_lines()
+
+    def test_quick_report_text(self):
+        assert run_verification_suite(seed=2024).format_lines() == QUICK_2024
+
+    def test_broken_rank_report_text(self, monkeypatch):
+        break_cut_rank(monkeypatch)
+        expected = QUICK_2024.splitlines()
+        for index, line in BROKEN_RANK_2024.items():
+            expected[index] = line
+        assert run_verification_suite(seed=2024).format_lines() == "\n".join(expected) + "\n"
 
     def test_line_format(self):
         report = run_verification_suite(seed=1, profile="quick")
@@ -464,6 +517,13 @@ class TestVerificationSuite:
         break_cut_rank(monkeypatch)
         report = run_verification_suite(seed=seed, profile="quick")
         assert [(res.tag, res.trials) for res in report.results if not res.passed] == failures
+
+    def test_k2_refusal_is_checked_after_the_trials(self, monkeypatch):
+        # Every (n, r) family is tried once per call, in order, after the trials.
+        module, name, broken, _ = FAULTS["normalize-k2-strict"]
+        monkeypatch.setattr(module, name, broken)
+        result = check_normalize_idempotent(property_rng(2024, "normalize-idempotent"), 60)
+        assert result == PropertyResult("normalize-k2-refusal", 60, False, "n=3 r=0 A=1 B=2")
 
     def test_a_check_that_raises_is_a_fail(self, monkeypatch, capsys):
         # A close_full that drops one complement pair leaves a family that
