@@ -8,11 +8,16 @@ reader has closed ends in exit 1, with nothing on stderr.
 
 `ortho` and `verification` are imported inside the commands that use
 them, so a graph command such as `rsplit verify -g` never loads them.
+
+`run` is the process entry of the `rsplit` script and of
+`python -m rsplits.cli`; `main` is the entry for callers in a process that
+goes on after it returns, such as tests and tracers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -288,5 +293,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if isinstance(exc, NotRankConnectedError) else 2
 
 
+def run() -> int:
+    """Run the command of sys.argv in a process that exits when it returns.
+
+    The objects that importing this module created live until exit, so
+    they are frozen out of garbage collection first: neither the
+    collections during the command nor the one at interpreter shutdown
+    walk them again.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -12,13 +13,19 @@ import pytest
 import rsplits
 import rsplits.cli
 from conftest import NINE_VERTEX_EDGES
-from rsplits.cli import build_parser, main
+from rsplits.cli import build_parser, main, run
 from rsplits.graph import GRAPH_FORMAT_HELP, format_graph, parse_graph
 from rsplits.hypergraph import HYPERGRAPH_FORMAT_HELP, equals, parse_closed, parse_hypergraph
 from rsplits.splits import enumerate_r_splits
 from rsplits.verification import run_verification_suite
 
 SRC = str(Path(rsplits.__file__).resolve().parent.parent)
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's rsplits."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 @pytest.fixture()
@@ -389,9 +396,8 @@ class TestClosedPipe:
         # The read end is closed before the child starts, so its first write
         # to stdout fails, whether it happens in print or in the final flush.
         (tmp_path / "c6.txt").write_text("6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
         read_end, write_end = os.pipe()
@@ -404,6 +410,52 @@ class TestClosedPipe:
             os.close(write_end)
         assert proc.stderr == ""
         assert proc.returncode == 1
+
+
+class TestProcessEntry:
+    """`run` is `main` on sys.argv, after freezing the import-time heap."""
+
+    @pytest.fixture(autouse=True)
+    def contract_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in CONTRACT_FILES.items():
+            (tmp_path / name).write_text(text)
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "-g", "c6.txt", "-r", "2"], 0),
+        (["connected", "-g", "two-edges.txt", "-r", "1"], 1),
+        (["verify", "-r", "2"], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_run_is_main_on_argv(self, monkeypatch, capsys, argv, code):
+        assert main(argv) == code
+        assert gc.get_freeze_count() == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["rsplit", *argv])
+        assert run() == code
+        assert gc.get_freeze_count() > 0
+        assert capsys.readouterr() == expected
+
+    def test_module_entry_prints_what_main_prints(self, tmp_path, capsys):
+        argv = ["verify", "-g", "c6.txt", "-r", "2", "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "rsplits.cli", *argv], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.out, expected.err)
+
+    def test_both_process_entries_are_run(self, tmp_path):
+        child = ("import gc, runpy\n"
+                 "try:\n"
+                 "    runpy.run_module('rsplits.cli', run_name='__main__')\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        proc = subprocess.run([sys.executable, "-c", child, "verify", "-r", "2"], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.stdout, proc.stderr) == ("2 True\n", "error: -r needs -g\n")
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        assert 'rsplit = "rsplits.cli:run"\n' in pyproject.read_text(encoding="utf-8")
 
 
 class TestBounds:

@@ -100,6 +100,40 @@ class TestDerivedRules:
             "P2 violated by (2,3,4,5, 4,5,6,7,8): 6,7,8 missing",
         ]
 
+    def test_degenerate_closure_violates_both_rules_both_ways(self):
+        # Without K2 almost every middle pair breaks a rule; each P2 line
+        # names the pair in the order the missing difference comes from.
+        h = Hypergraph.of_vertex_lists(6, [[5, 6], [2, 3, 4], [1, 3, 4, 5]])
+        assert check_derived_rules(close_degenerate(h, 0)) == [
+            "P1 violated by (2,6, 5,6): 6 missing",
+            "P2 violated by (2,6, 5,6): 5 missing",
+            "P2 violated by (5,6, 2,6): 2 missing",
+            "P1 violated by (2,6, 1,5,6): 6 missing",
+            "P2 violated by (2,6, 1,5,6): 1,5 missing",
+            "P2 violated by (1,5,6, 2,6): 2 missing",
+            "P1 violated by (2,6, 2,3,4): 2 missing",
+            "P2 violated by (2,6, 2,3,4): 3,4 missing",
+            "P2 violated by (2,3,4, 2,6): 6 missing",
+            "P1 violated by (2,6, 1,2,3,4): 2 missing",
+            "P2 violated by (2,6, 1,2,3,4): 1,3,4 missing",
+            "P2 violated by (1,2,3,4, 2,6): 6 missing",
+            "P2 violated by (5,6, 1,5,6): 1 missing",
+            "P1 violated by (5,6, 1,3,4,5): 5 missing",
+            "P2 violated by (5,6, 1,3,4,5): 1,3,4 missing",
+            "P2 violated by (1,3,4,5, 5,6): 6 missing",
+            "P1 violated by (1,5,6, 1,2,3,4): 1 missing",
+            "P1 violated by (1,5,6, 1,3,4,5): 1,5 missing",
+            "P2 violated by (1,5,6, 1,3,4,5): 3,4 missing",
+            "P2 violated by (1,3,4,5, 1,5,6): 6 missing",
+            "P2 violated by (2,3,4, 1,2,3,4): 1 missing",
+            "P1 violated by (2,3,4, 1,3,4,5): 3,4 missing",
+            "P2 violated by (2,3,4, 1,3,4,5): 1,5 missing",
+            "P2 violated by (1,3,4,5, 2,3,4): 2 missing",
+            "P1 violated by (1,2,3,4, 1,3,4,5): 1,3,4 missing",
+            "P2 violated by (1,2,3,4, 1,3,4,5): 5 missing",
+            "P2 violated by (1,3,4,5, 1,2,3,4): 2 missing",
+        ]
+
     def test_random_closures_are_clean(self):
         rng = random.Random(37)
         for _ in range(80):
