@@ -23,6 +23,11 @@ def _check_universe(n: int) -> None:
         )
 
 
+def _check_rank(r: int) -> None:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+
+
 def data_lines(text: str) -> list[tuple[int, str]]:
     """Stripped lines that are neither blank nor '#' comments, with their 1-based numbers."""
     lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1)]

@@ -2,9 +2,10 @@
 
 Exit codes follow one contract: 0 means true/success, 1 means a queried
 property is false or a required hypothesis fails, 2 means a parse or
-usage error.  `_report` applies it to a command's verdict, and `main`
-applies it to the exceptions a command raises.  Output to a pipe that its
-reader has closed ends in exit 1, with nothing on stderr.
+usage error.  `_report` applies it to a command's verdict, and `main` to
+a raised `ValueError`: its `exit_code`, 1 on a failed hypothesis, or else
+2.  Output to a pipe that its reader has closed ends in exit 1, with
+nothing on stderr.
 
 `ortho` and `verification` are imported inside the commands that use
 them, so a graph command such as `rsplit verify -g` never loads them.
@@ -36,7 +37,6 @@ from .hypergraph import (
 )
 from .limits import PROFILES, parse_int
 from .splits import (
-    NotRankConnectedError,
     enumerate_r_splits,
     essential_representation,
     rank_connected_splits,
@@ -161,14 +161,9 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    from .ortho import NotCrossFreeError, crossfree_size_bounds
+    from .ortho import crossfree_size_bounds
 
-    h = _load(parse_hypergraph, args.hypergraph)
-    try:
-        report = crossfree_size_bounds(h, args.r)
-    except NotCrossFreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = crossfree_size_bounds(_load(parse_hypergraph, args.hypergraph), args.r)
     lines = [
         f"middle edges        {report.middle_edges}",
         f"closure middles     {report.closure_middles}",
@@ -240,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     vertex_set = opt("-X", dest="set", required=True, help="vertex set, e.g. 1,3,7 ('-' for empty)")
 
     add("rank", cmd_rank, "rank of the cut at a vertex set", graph, vertex_set)
-    add("splits", cmd_splits, "enumerate all r-splits as a closed family",
-        graph, rank, output, json_flag=False)
+    add("splits", cmd_splits, "enumerate all r-splits in the closed format; they are closed "
+        "under K2 only for an r-rank connected graph, and member answers for them as listed "
+        "either way", graph, rank, output, json_flag=False)
     add("connected", cmd_connected, "test r-rank connectivity (exit 0/1)", graph, rank)
     add("essential", cmd_essential, "essential members of the r-split family",
         graph, rank, output, json_flag=False)
@@ -290,7 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, NotRankConnectedError) else 2
+        return getattr(exc, "exit_code", 2)
 
 
 def run() -> int:

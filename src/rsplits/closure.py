@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .bitset import VertexSet
+from .bitset import VertexSet, _check_rank
 from .hypergraph import ClosedHypergraph, Hypergraph, middles_and_complements
 
 
@@ -21,8 +21,7 @@ def close_full(h: Hypergraph, r: int) -> ClosedHypergraph:
     paired with every middle listed before it; unions that stay in the
     middle zone are appended together with their complements.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     n = h.n
     full = (1 << n) - 1
     order = middles_and_complements(n, r, h.masks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from . import bitset, limits
-from .bitset import Frozen, VertexSet, _check_universe, _setattr, data_lines, parse_int
+from .bitset import Frozen, VertexSet, _check_rank, _check_universe, _setattr, data_lines, parse_int
 
 
 class Graph(Frozen):
@@ -102,8 +102,7 @@ def _block_rank(adj: tuple[int, ...], rows: int, cols: int) -> int:
 
 def is_r_split(g: Graph, x: VertexSet, r: int) -> bool:
     """True when the cut at x has rank at most r."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     return cut_rank(g, x) <= r
 
 
@@ -163,8 +162,7 @@ def is_r_rank_connected(g: Graph, r: int) -> bool:
     Searches the cuts of rank at most r-1 (see low_rank_cuts) and stops at
     the first one whose rank is below the size of its smaller side.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
     if r == 0:
         return True

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from . import limits
 from .bitset import (
-    Frozen, VertexSet, _check_universe, _setattr, data_lines, mask_sort_key, parse_int,
+    Frozen, VertexSet, _check_rank, _check_universe, _setattr, data_lines, mask_sort_key, parse_int,
 )
 
 
@@ -118,8 +118,7 @@ class ClosedHypergraph(Frozen):
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
+        _check_rank(self.r)
         n, r, masks = self.n, self.r, self.masks
         full = (1 << n) - 1
         for x in masks:
@@ -199,8 +198,7 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
     full trivial part, complement closure (K1), then the union rule (K2)
     over middle pairs.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     n = h.n
     expected_trivial = trivial_closure_size(n, r)
     middles = frozenset(x for x in h.masks if r < x.bit_count() < n - r)

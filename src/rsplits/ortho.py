@@ -13,7 +13,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from . import closure, hypergraph, limits, splits
-from .bitset import Frozen, VertexSet, _check_universe, _setattr, mask_sort_key
+from .bitset import Frozen, VertexSet, _check_rank, _check_universe, _setattr, mask_sort_key
 from .hypergraph import ClosedHypergraph, Hypergraph
 
 
@@ -36,8 +36,7 @@ def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
     and difference cardinalities."""
     if a.n != b.n:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     x, y = a.mask, b.mask
     return _orthogonal_sizes(a.n, x.bit_count(), y.bit_count(), (x & y).bit_count(), r)
 
@@ -56,8 +55,7 @@ def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, Verte
     """First non-orthogonal pair in canonical order, or None.  A set of size
     <= r or >= n - r is orthogonal to every set, so only the middles are
     paired."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     n = h.n
     sized = [(x, size) for x in sorted(h.masks, key=mask_sort_key)
              if r < (size := x.bit_count()) < n - r]
@@ -75,6 +73,7 @@ def is_cross_free(h: Hypergraph, r: int) -> bool:
 
 class NotCrossFreeError(ValueError):
     """The family is not r-cross-free, a hypothesis the computation needs."""
+    exit_code = 1
 
 
 def cross_free_closure(h: Hypergraph, r: int) -> ClosedHypergraph:

@@ -12,13 +12,14 @@ import math
 from typing import NamedTuple, Optional
 
 from . import closure, graph, hypergraph, limits
-from .bitset import VertexSet, mask_sort_key
+from .bitset import VertexSet, _check_rank, mask_sort_key
 from .graph import Graph
 from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError
 
 
 class NotRankConnectedError(ValueError):
     """The graph is not r-rank connected, a hypothesis the computation needs."""
+    exit_code = 1
 
 
 def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
@@ -27,8 +28,7 @@ def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
     Sets of size <= r or >= n-r are r-splits of every graph and stay
     implicit; only middles are searched for (see low_rank_cuts).
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     limits.check_cap(g.n, limits.exhaustive_cap(), "split enumeration")
     sides = [mask for mask, _ in graph.low_rank_cuts(g, r, range(r + 1, g.n - r))]
     return closure.close_degenerate(Hypergraph._from_masks(g.n, frozenset(sides)), r)
@@ -41,8 +41,7 @@ def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
     connectivity, so one search both collects the middles and stops at the
     first nontrivial cut of rank below r, raising NotRankConnectedError.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_rank(r)
     limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
     n = g.n
     sides = []

@@ -363,6 +363,21 @@ def check_closure_operator_laws(rng: random.Random) -> Failure:
         return "degenerate-below-full", f"n={n} r={r}"
 
 
+@functools.cache
+def _k2_refusal_cases() -> tuple[tuple[int, Hypergraph, str], ...]:
+    """(r, family, detail) for each n <= 9 and r <= 3 with n > 2r + 2, built once:
+    A = {1..r+1} and B = {2..r+2} meet in exactly r vertices and their union
+    is a middle, so their K0/K1 closure, the family, breaks K2."""
+    cases = []
+    for r in range(4):
+        a, b = (1 << r + 1) - 1, (1 << r + 2) - 2
+        for n in range(2 * r + 3, 10):
+            pair = frozenset({a, b, a ^ (1 << n) - 1, b ^ (1 << n) - 1})
+            detail = f"n={n} r={r} A={VertexSet(n, a)} B={VertexSet(n, b)}"
+            cases.append((r, ClosedHypergraph._from_masks(n, r, pair).materialize(), detail))
+    return tuple(cases)
+
+
 @_register("normalize-idempotent", 60, 300)
 def check_normalize_idempotent(rng: random.Random, trials: int) -> Outcome:
     for t in range(trials):
@@ -373,22 +388,12 @@ def check_normalize_idempotent(rng: random.Random, trials: int) -> Outcome:
             return t + 1, f"n={n} r={r}"
         if not all(closed.contains(a) == closed.contains(a.complement()) for a in closed.middles):
             return t + 1, ("contains-complement", f"n={n} r={r}")
-    # Once per call, for each n <= 9 and r <= 3 with n > 2r + 2: A = {1..r+1}
-    # and B = {2..r+2} meet in exactly r vertices and their union is a
-    # middle, so their K0/K1 closure (A, B, their complements and the
-    # trivial part) breaks K2.
-    for r in range(4):
-        a, b = (1 << r + 1) - 1, (1 << r + 2) - 2
-        for n in range(2 * r + 3, 10):
-            full = (1 << n) - 1
-            unclosed = ClosedHypergraph(n, r, frozenset()).materialize().masks
-            unclosed |= {a, b, full ^ a, full ^ b}
-            try:
-                hypergraph.normalize(Hypergraph._from_masks(n, unclosed), r)
-            except hypergraph.NotClosedError:
-                continue
-            x, y = VertexSet(n, a), VertexSet(n, b)
-            return trials, ("normalize-k2-refusal", f"n={n} r={r} A={x} B={y}")
+    for r, unclosed, detail in _k2_refusal_cases():
+        try:
+            hypergraph.normalize(unclosed, r)
+        except hypergraph.NotClosedError:
+            continue
+        return trials, ("normalize-k2-refusal", detail)
     return trials, None
 
 

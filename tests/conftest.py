@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 
@@ -72,3 +73,12 @@ def seeded_graphs(seed: int, sizes: range, per_size: int):
             p = rng.uniform(0.15, 0.6)
             pairs = itertools.combinations(range(1, n + 1), 2)
             yield Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+
+
+def source_mutant(module, name: str, old: str, new: str):
+    """`module.name` recompiled from its source with the one `old` replaced by `new`."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]

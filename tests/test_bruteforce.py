@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import inspect
 import itertools
 import pathlib
 import random
@@ -17,7 +16,7 @@ import rsplits.hypergraph
 import rsplits.ortho
 import rsplits.splits
 from rsplits import cli
-from conftest import all_graphs, seeded_graphs
+from conftest import all_graphs, seeded_graphs, source_mutant
 from rsplits.bitset import VertexSet, mask_sort_key
 from rsplits.bruteforce import (
     brute_closure,
@@ -336,15 +335,6 @@ def break_cut_rank(monkeypatch) -> None:
         return rank - 1 if rank >= 2 and len(x) % 2 == 0 else rank
 
     monkeypatch.setattr(rsplits.graph, "cut_rank", broken)
-
-
-def source_mutant(module, name: str, old: str, new: str):
-    """`module.name` recompiled from its source with the one `old` replaced by `new`."""
-    source = inspect.getsource(getattr(module, name))
-    assert source.count(old) == 1, (name, old)
-    namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
 
 
 def raise_on_call(*args, **kwargs):

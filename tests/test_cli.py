@@ -13,9 +13,13 @@ import pytest
 import rsplits
 import rsplits.cli
 from conftest import NINE_VERTEX_EDGES
+from rsplits.bitset import VertexSet
+from rsplits.bruteforce import brute_splits
 from rsplits.cli import build_parser, main, run
 from rsplits.graph import GRAPH_FORMAT_HELP, format_graph, parse_graph
-from rsplits.hypergraph import HYPERGRAPH_FORMAT_HELP, equals, parse_closed, parse_hypergraph
+from rsplits.hypergraph import (
+    HYPERGRAPH_FORMAT_HELP, NotClosedError, equals, normalize, parse_closed, parse_hypergraph,
+)
 from rsplits.splits import enumerate_r_splits
 from rsplits.verification import run_verification_suite
 
@@ -55,11 +59,16 @@ class TestFormatHelp:
         assert exc.value.code == 0
         assert " ".join(text.split()) in " ".join(capsys.readouterr().out.split())
 
-    def test_command_list_states_that_member_trusts_k2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("caveat", [
+        "the file is trusted to be closed under K2",
+        "closed under K2 only for an r-rank connected graph, and member answers for them as "
+        "listed either way",
+    ], ids=["member", "splits"])
+    def test_command_list_states_when_a_family_is_k2_closed(self, monkeypatch, capsys, caveat):
         monkeypatch.setenv("COLUMNS", "1000")
         with pytest.raises(SystemExit):
             main(["-h"])
-        assert "the file is trusted to be closed under K2" in capsys.readouterr().out
+        assert caveat in capsys.readouterr().out
 
 
 # One argv per subcommand, and the namespace it parses to apart from `func`:
@@ -285,6 +294,23 @@ class TestMember:
         splits_file = tmp_path / "c4.splits"
         main(["splits", "-g", c4_file, "-r", "1", "-o", str(splits_file)])
         assert main(["member", "-H", str(splits_file), "-r", "2", "-X", "1,3"]) == 2
+
+    def test_splits_of_a_graph_that_is_not_rank_connected(self, tmp_path, capsys):
+        """Such a graph's splits need not be closed under K2: normalize refuses
+        the file that `splits` writes, and `member` answers for the family as
+        listed, so a set is a member exactly when it is a 1-split."""
+        text = "7 4\n1 2\n1 4\n3 4\n5 7\n"
+        (tmp_path / "g.txt").write_text(text)
+        closed_file = str(tmp_path / "g.closed")
+        assert main(["splits", "-g", str(tmp_path / "g.txt"), "-r", "1", "-o", closed_file]) == 0
+        with pytest.raises(NotClosedError, match=r"^K2 violated by \(1,6, 3,6\)$"):
+            normalize(parse_closed(Path(closed_file).read_text()).materialize(), 1)
+        splits = brute_splits(parse_graph(text), 1)
+        for mask in range(1 << 7):
+            x = VertexSet(7, mask)
+            expected = 0 if frozenset(x) in splits else 1
+            assert main(["member", "-H", closed_file, "-r", "1", "-X", str(x)]) == expected, x
+        assert capsys.readouterr().err == ""
 
 
 class TestOrtho:

@@ -11,9 +11,10 @@ import re
 import pytest
 
 from rsplits.bitset import VertexSet
+from rsplits.closure import close_full
 from rsplits.graph import Graph, cut_rank, is_r_rank_connected, is_r_split
 from rsplits.hypergraph import ClosedHypergraph, Hypergraph, normalize
-from rsplits.ortho import is_orthogonal_oracle
+from rsplits.ortho import is_orthogonal, is_orthogonal_oracle
 from rsplits.splits import enumerate_r_splits, phi, rank_connected_splits
 
 P3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -44,6 +45,13 @@ GUARDS = [
     ("enumerate-negative-r", lambda: enumerate_r_splits(P3, -1), R_NEGATIVE),
     ("rank-connected-negative-r", lambda: rank_connected_splits(P3, -1), R_NEGATIVE),
     ("phi-universe", lambda: phi(CLOSED4, FOREIGN), ValueError("universe mismatch: 5 vs 4")),
+    ("close-full-negative-r", lambda: close_full(Hypergraph(4, frozenset()), -1), R_NEGATIVE),
+    ("closed-negative-r", lambda: ClosedHypergraph(4, -1, frozenset()), R_NEGATIVE),
+    # Where a routine checks more than r, the order of its checks is kept too.
+    ("closed-universe-before-r", lambda: ClosedHypergraph(-1, -1, frozenset()),
+     ValueError("universe size must be >= 0, got -1")),
+    ("orthogonal-universe-before-r", lambda: is_orthogonal(VertexSet.of(4, (1,)), FOREIGN, -1),
+     ValueError("universe mismatch: 4 vs 5")),
 ]
 
 
