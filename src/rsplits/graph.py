@@ -164,8 +164,6 @@ def is_r_rank_connected(g: Graph, r: int) -> bool:
     """
     _check_rank(r)
     limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
-    if r == 0:
-        return True
     return all(
         rank == min(mask.bit_count(), g.n - mask.bit_count())
         for mask, rank in low_rank_cuts(g, r - 1)

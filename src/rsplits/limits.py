@@ -18,6 +18,9 @@ MAX_UNIVERSE = 128
 # ortho.build_family refuse to build more.
 MAX_EXPLICIT_FAMILY = 1 << 22
 
+# Digits of the longest int str() prints by default (sys.int_info.default_max_str_digits).
+MAX_PRINTED_DIGITS = 4300
+
 # Pruned cut searches (r-rank connectivity, split enumeration).
 DEFAULT_EXHAUSTIVE_CAP = 24
 

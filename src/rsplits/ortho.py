@@ -53,21 +53,21 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
 
 def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, VertexSet]]:
     """First non-orthogonal pair in canonical order, or None.  A set of size
-    <= r or >= n - r is orthogonal to every set, so only the middles are
-    paired."""
+    <= r or >= n - r is orthogonal to every set, and every set to itself, so
+    only distinct middles are paired."""
     _check_rank(r)
     n = h.n
     sized = [(x, size) for x in sorted(h.masks, key=mask_sort_key)
              if r < (size := x.bit_count()) < n - r]
     for i, (a, size_a) in enumerate(sized):
-        for b, size_b in itertools.islice(sized, i, None):
+        for b, size_b in itertools.islice(sized, i + 1, None):
             if not _orthogonal_sizes(n, size_a, size_b, (a & b).bit_count(), r):
                 return (VertexSet(n, a), VertexSet(n, b))
     return None
 
 
 def is_cross_free(h: Hypergraph, r: int) -> bool:
-    """True when every pair of edges (a set with itself included) is r-orthogonal."""
+    """True when every pair of edges is r-orthogonal."""
     return find_crossing_pair(h, r) is None
 
 
@@ -108,13 +108,22 @@ class CrossFreeBoundsReport(NamedTuple):
         return {**self._asdict(), "passed": self.passed}
 
 
+# The least int that str() refuses to print under Python's default limit.
+_UNPRINTABLE = 10**limits.MAX_PRINTED_DIGITS
+
+
 def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
     """Check both size laws for a cross-free family with exact arithmetic."""
     closed = cross_free_closure(h, r)
     middle_edges = sum(1 for x in h.masks if r < x.bit_count() < h.n - r)
     closure_middles = len(closed.masks)
     closure_total = closed.member_count()
-    closure_cap = 2 * (r + 1) * h.n**r + 2 * len(h.masks)
+    # n^r >= 2^(r (n.bit_length() - 1)) > 10^digits here, so it is never built.
+    too_long = r * (h.n.bit_length() - 1) > 4 * limits.MAX_PRINTED_DIGITS
+    closure_cap = _UNPRINTABLE if too_long else 2 * (r + 1) * h.n**r + 2 * len(h.masks)
+    if closure_cap >= _UNPRINTABLE:
+        raise limits.TooLargeError(f"closure cap 2(r+1)n^r + 2|H| for n={h.n}, r={r} has "
+                                   f"more than {limits.MAX_PRINTED_DIGITS} digits (print limit)")
     return CrossFreeBoundsReport(
         n=h.n,
         r=r,

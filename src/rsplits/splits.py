@@ -35,22 +35,11 @@ def enumerate_r_splits(g: Graph, r: int) -> ClosedHypergraph:
 
 
 def rank_connected_splits(g: Graph, r: int) -> ClosedHypergraph:
-    """enumerate_r_splits(g, r) for an r-rank connected g, from one search.
-
-    The cuts of rank at most r include every cut that could break r-rank
-    connectivity, so one search both collects the middles and stops at the
-    first nontrivial cut of rank below r, raising NotRankConnectedError.
-    """
-    _check_rank(r)
-    limits.check_cap(g.n, limits.exhaustive_cap(), "r-rank connectivity")
-    n = g.n
-    sides = []
-    for mask, rank in graph.low_rank_cuts(g, r):
-        size = mask.bit_count()
-        if rank < r and rank < min(size, n - size):
-            raise NotRankConnectedError(f"graph is not {r}-rank connected")
-        sides.append(mask)
-    return closure.close_degenerate(Hypergraph._from_masks(n, frozenset(sides)), r)
+    """enumerate_r_splits(g, r) for an r-rank connected g; NotRankConnectedError
+    otherwise, as decided by graph.is_r_rank_connected."""
+    if not graph.is_r_rank_connected(g, r):
+        raise NotRankConnectedError(f"graph is not {r}-rank connected")
+    return enumerate_r_splits(g, r)
 
 
 def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:

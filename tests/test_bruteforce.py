@@ -341,9 +341,15 @@ def raise_on_call(*args, **kwargs):
     raise RuntimeError("injected fault")
 
 
+def always_rank_connected(g, r):
+    """An r-rank connectivity test that checks r and then says yes."""
+    rsplits.bitset._check_rank(r)
+    return True
+
+
 # fault -> (module, routine, its broken version, the failing tags of the
 # quick suite in report order, the same at seeds 99, 4 and 2024).
-# The first three are faults in routines the suite reaches through their
+# The first four are faults in routines the suite reaches through their
 # modules; the last five are one-line mutants of a law's bound or test.
 FAULTS = {
     "normalize-raises": (
@@ -359,6 +365,12 @@ FAULTS = {
         rsplits.bitset, "rank_of_rows", lambda rows: 0,
         ["gf2-rank-zero", "cutrank-vs-bruteforce", "middle-rank-floor",
          "essential-roundtrip", "splits-vs-bruteforce"],
+    ),
+    # essential-roundtrip reaches it through rank_connected_splits, which
+    # must refuse through it too.
+    "rank-connected-always-true": (
+        rsplits.graph, "is_r_rank_connected", always_rank_connected,
+        ["middle-rank-floor", "essential-roundtrip"],
     ),
     "essential-bound-doubled": (
         rsplits.splits, "verify_representation",

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -498,6 +499,38 @@ class TestBounds:
         hg = tmp_path / "h.hg"
         hg.write_text("6\n1,2,3\n3,4,5\n")
         assert main(["bounds", "-H", str(hg), "-r", "1"]) == 1
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_largest_printable_cap(self, tmp_path, capsys, as_json):
+        # 2 * 7136 * 4^7135 + 2 has 4300 digits, the most an int prints by default.
+        cap = 2 * 7136 * 4**7135 + 2
+        assert len(str(cap)) == 4300
+        (tmp_path / "h.txt").write_text("4\n1,2\n")
+        argv = ["bounds", "-H", str(tmp_path / "h.txt"), "-r", "7135"]
+        assert main(argv + ["--json"] * as_json) == 0
+        out, err = capsys.readouterr()
+        if as_json:
+            assert json.loads(out) == {
+                "command": "bounds", "n": 4, "r": 7135, "edge_count": 1, "middle_edges": 0,
+                "closure_middles": 0, "closure_total": 16, "closure_cap": cap,
+                "chain_holds": True, "cap_holds": True, "passed": True}
+        else:
+            assert out.splitlines() == [
+                "middle edges        0", "closure middles     0", "closure total       16",
+                f"closure cap         {cap}", "chain 0 <= 0 <= 0: holds", f"cap 16 <= {cap}: holds"]
+        assert err == ""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("r", [7136, 10**12])
+    def test_cap_past_the_printing_limit_is_refused_at_once(self, tmp_path, capsys, r, as_json):
+        (tmp_path / "h.txt").write_text("4\n1,2\n")
+        argv = ["bounds", "-H", str(tmp_path / "h.txt"), "-r", str(r)]
+        start = time.perf_counter()
+        assert main(argv + ["--json"] * as_json) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"error: closure cap 2(r+1)n^r + 2|H| for n=4, r={r} has more than "
+            "4300 digits (print limit)\n"))
 
 
 class TestVerify:

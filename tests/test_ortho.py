@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 import pytest
 
@@ -232,6 +234,13 @@ class TestCrossFree:
             outcomes.add(expected is None)
         assert outcomes == {True, False}
 
+    def test_every_set_is_orthogonal_to_itself(self):
+        """So the crossing scan pairs only distinct sets."""
+        for n in range(41):
+            for r in range(8):
+                for size in range(n + 1):
+                    assert _orthogonal_sizes(n, size, size, size, r), (n, r, size)
+
     def test_trivial_sizes_are_orthogonal_to_every_size(self):
         """A set of size <= r or >= n - r is orthogonal to every set: the
         formula holds for every other size and every feasible intersection."""
@@ -332,6 +341,31 @@ class TestSizeBounds:
         report = crossfree_size_bounds(Hypergraph(6, frozenset()), 1)
         assert (report.middle_edges, report.closure_middles) == (0, 0)
         assert report.passed
+
+    def test_print_limit_is_pythons_default(self):
+        default = getattr(sys.int_info, "default_max_str_digits", limits.MAX_PRINTED_DIGITS)
+        assert limits.MAX_PRINTED_DIGITS == default
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 64, 128])
+    def test_cap_is_refused_exactly_where_it_would_not_print(self, n):
+        h = Hypergraph.of_vertex_lists(n, [[1]])
+        last = int(limits.MAX_PRINTED_DIGITS / math.log10(n))
+        for r in range(last - 4, last + 4):
+            cap = 2 * (r + 1) * n**r + 2
+            if cap < 10**limits.MAX_PRINTED_DIGITS:
+                assert crossfree_size_bounds(h, r).closure_cap == cap
+            else:
+                with pytest.raises(TooLargeError, match=f"^closure cap .* for n={n}, r={r} "):
+                    crossfree_size_bounds(h, r)
+
+    def test_tiny_universes_compute_the_cap_at_any_r(self):
+        # n^r is n here, so the cap is 0 for n = 0 and 2(r+1) for n = 1.
+        for r in (10**12, 5 * 10**4299 - 2, 5 * 10**4299 - 1):
+            assert crossfree_size_bounds(Hypergraph(0, frozenset()), r).closure_cap == 0
+        one = Hypergraph(1, frozenset())
+        assert crossfree_size_bounds(one, 5 * 10**4299 - 2).closure_cap == 10**4300 - 2
+        with pytest.raises(TooLargeError, match="n=1"):
+            crossfree_size_bounds(one, 5 * 10**4299 - 1)
 
 
 class TestOneCrossingScan:

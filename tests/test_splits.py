@@ -249,6 +249,21 @@ class TestRankConnectedSplits:
                     with pytest.raises(NotRankConnectedError, match=f"not {r}-rank connected"):
                         rank_connected_splits(g, r)
 
+    @pytest.mark.parametrize("seed", [53, 59])
+    def test_seeded_graphs_up_to_twelve_vertices(self, seed):
+        # The seeded graphs of TestEnumerate (53) and TestRankConnectivity (59).
+        verdicts = set()
+        for g in seeded_graphs(seed, range(6, 13), 2):
+            for r in range(4):
+                verdict = brute_rank_connected(g, r)
+                verdicts.add(verdict)
+                if verdict:
+                    assert explicit_members(rank_connected_splits(g, r)) == brute_splits(g, r), (g, r)
+                else:
+                    with pytest.raises(NotRankConnectedError, match=f"not {r}-rank connected"):
+                        rank_connected_splits(g, r)
+        assert verdicts == {True, False}
+
     def test_cap_refused_as_connectivity(self):
         g = Graph(25, tuple(0 for _ in range(25)))
         with pytest.raises(TooLargeError, match="r-rank connectivity"):
