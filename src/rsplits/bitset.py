@@ -56,9 +56,12 @@ def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its fields in `_fields` and in `__slots__`, and its
-    `__init__` sets them with `_setattr` and then calls `self.__post_init__()`,
-    which validates them.  Two values are equal when they have the same class
+    A subclass names its fields in `_fields` and in `__slots__`.  Its
+    `__init__` checks the arguments and only then stores them with `_setattr`,
+    so no value with invalid fields is ever built.  `VertexSet` and
+    `ClosedHypergraph` instead store first and validate in `__post_init__`,
+    because the benchmark's tracer (`perfbench/tracer.py`) wraps that hook to
+    count constructions.  Two values are equal when they have the same class
     and the same field tuple, which is also what they hash.
     """
 

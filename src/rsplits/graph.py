@@ -22,24 +22,21 @@ class Graph(Frozen):
     adj: tuple[int, ...]
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
-        _setattr(self, "n", n)
-        _setattr(self, "adj", adj)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _check_universe(self.n)
-        if len(self.adj) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+        _check_universe(n)
+        if len(adj) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+        full = (1 << n) - 1
+        for u, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {u + 1} has bits outside the vertex range")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u + 1}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (adj[u] >> v & 1) != (adj[v] >> u & 1):
                     raise ValueError(f"adjacency is not symmetric at ({u + 1}, {v + 1})")
+        _setattr(self, "n", n)
+        _setattr(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -117,21 +114,25 @@ def low_rank_cuts(
     """Yield (mask, rank) for every side containing vertex 1 whose cut rank is <= bound.
 
     Cuts come in complement pairs with equal rank, so only the side holding
-    vertex 1 is produced.  Depth-first search decides vertices 2..n in order
-    into A (the side) or B (the rest).  rank(M[A, B]) is at most the rank of
-    every cut extending the partial one, since a submatrix never has larger
-    rank, so a branch is pruned once it exceeds bound.  The partial rank is at
-    most min(|A|, |B|), so it is computed only once both sides exceed bound;
-    a leaf whose smaller side never did gets its rank computed there.  With
-    sizes (a range), only sides whose size lies in it are produced, and
-    branches that can no longer reach it are cut off.
+    vertex 1 is produced.  Depth-first search decides the other vertices
+    into A (the side) or B (the rest) in the breadth-first order of
+    _search_order, so the decided vertices stay close together and the
+    partial cut's edges show up early, whatever the numbering.
+    rank(M[A, B]) is at most the rank of every cut extending the partial
+    one, since a submatrix never has larger rank, so a branch is pruned once
+    it exceeds bound.  The partial rank is at most min(|A|, |B|), so it is
+    computed only once both sides exceed bound; a leaf whose smaller side
+    never did gets its rank computed there.  With sizes (a range), only
+    sides whose size lies in it are produced, and branches that can no
+    longer reach it are cut off.
     """
     n = g.n
     lo, hi = (sizes.start, sizes.stop - 1) if sizes is not None else (1, n)
     if n == 0 or lo > hi or hi < 1 or lo > n:
         return
     adj = g.adj
-    # (next vertex index, A, B, |A|, |B|, rank of M[A, B] or -1 when not computed)
+    bits = _search_order(adj)
+    # (next index into bits, A, B, |A|, |B|, rank of M[A, B] or -1 when not computed)
     stack = [(1, 1, 0, 1, 0, -1)]
     while stack:
         i, a, b, na, nb, rank = stack.pop()
@@ -140,7 +141,7 @@ def low_rank_cuts(
                 rank = _block_rank(adj, a, b)
             yield a, rank
             continue
-        bit = 1 << i
+        bit = bits[i]
         left = n - i - 1
         if na + left >= lo:
             child_b, child_rank = b | bit, -1
@@ -154,6 +155,27 @@ def low_rank_cuts(
                 child_rank = _block_rank(adj, child_a, b)
             if child_rank <= bound:
                 stack.append((i + 1, child_a, b, na + 1, nb, child_rank))
+
+
+def _search_order(adj: tuple[int, ...]) -> list[int]:
+    """The vertex bits in breadth-first order from vertex 1.  Each frontier is
+    taken lowest label first, and each further component starts from its
+    lowest unvisited vertex."""
+    order = []
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                order.append(low)
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & unseen
+            unseen ^= frontier
+    return order
 
 
 def is_r_rank_connected(g: Graph, r: int) -> bool:

@@ -45,19 +45,15 @@ class Hypergraph(Frozen):
         return h
 
     def _set(self, n: int, masks: frozenset[int]) -> None:
-        _setattr(self, "n", n)
-        _setattr(self, "masks", masks)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        n = self.n
         _check_universe(n)
-        for x in self.masks:
+        for x in masks:
             if x >> n:
                 raise ValueError(f"edge mask {x:#x} has bits outside a universe of size {n}")
         for edge in self.__dict__.get("edges", ()):  # the public constructor's VertexSets
             if edge.n != n:
                 raise ValueError(f"edge over universe {edge.n} in hypergraph over {n}")
+        _setattr(self, "n", n)
+        _setattr(self, "masks", masks)
 
     @functools.cached_property
     def edges(self) -> frozenset[VertexSet]:

@@ -150,15 +150,12 @@ class FamilyParams(Frozen):
     k: int
 
     def __init__(self, r: int, k: int) -> None:
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        if k < 2:
+            raise ValueError("k must be >= 2")
         _setattr(self, "r", r)
         _setattr(self, "k", k)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
 
     @property
     def n(self) -> int:

@@ -404,6 +404,98 @@ FAULTS = {
 }
 
 
+TRUE_MATERIALIZE = ClosedHypergraph.materialize
+
+
+def distinct_nonzero_rows(rows) -> int:
+    """A rank routine that forgot elimination."""
+    return len({row for row in rows if row})
+
+
+def cut_edge_count(g, x) -> int:
+    """A cut rank that counts the edges across the cut."""
+    return sum((u in x) != (v in x) for u, v in g.edges())
+
+
+def contains_by_half(self, a) -> bool:
+    """ClosedHypergraph.contains that looks up only middles of at most half size."""
+    size = len(a)
+    return size <= self.r or size >= self.n - self.r or (2 * size <= self.n and a.mask in self.masks)
+
+
+def materialize_without_empty(self) -> Hypergraph:
+    """ClosedHypergraph.materialize that leaves out the empty set."""
+    h = TRUE_MATERIALIZE(self)
+    return Hypergraph._from_masks(h.n, h.masks - {0})
+
+
+# check -> (owner, routine, its broken version, seed, the line the quick suite
+# prints for the check).  Each fault drives a check to a failure return of its
+# own (not to an exception) that no fault in FAULTS reaches.
+FAILURE_RETURNS = {
+    "gf2-rank-laws": (
+        rsplits.bitset, "rank_of_rows", distinct_nonzero_rows, 99,
+        "FAIL gf2-transpose rows=(13, 10) cols=6",
+    ),
+    "set-cardinality-identity": (
+        VertexSet, "__or__", lambda self, other: VertexSet(self.n, self.mask ^ other.mask), 99,
+        "FAIL set-cardinality-identity n=14 a=1,2,4,6,8,10,11,12 b=3,6,7,9,11,12,14",
+    ),
+    "cutrank-symmetry-bound": (
+        rsplits.graph, "cut_rank", cut_edge_count, 2024,
+        "FAIL cutrank-bound g=[(1, 2), (1, 3), (2, 3), (2, 4)] X=3 rank=2",
+    ),
+    "split-union": (
+        rsplits.graph, "is_r_split",
+        source_mutant(rsplits.graph, "is_r_split", "cut_rank(g, x) <= r", "cut_rank(g, x) < r"), 99,
+        "FAIL split-union r=1 g=[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)] X=2 Y=1,2,3",
+    ),
+    "trivial-closure-census": (
+        rsplits.hypergraph, "trivial_closure_size",
+        source_mutant(rsplits.hypergraph, "trivial_closure_size", "range(n + 1)", "range(n)"), 4,
+        "FAIL trivial-closure-census n=0 r=0",
+    ),
+    "closure-vs-bruteforce": (
+        rsplits.closure, "close_degenerate", rsplits.closure.close_full, 2024,
+        "FAIL degenerate-vs-bruteforce n=8 r=1 edges=['1,7', '5,6,7']",
+    ),
+    "closure-operator-laws": (
+        rsplits.closure, "close_full",
+        source_mutant(rsplits.closure, "close_full", "middles_and_complements(n, r, h.masks)",
+                      "middles_and_complements(n, r + 1, h.masks)"), 4,
+        "FAIL closure-extensive n=6 r=1",
+    ),
+    "normalize-idempotent": (
+        ClosedHypergraph, "contains", contains_by_half, 99,
+        "FAIL contains-complement n=4 r=0",
+    ),
+    "closure-system-intersection": (
+        ClosedHypergraph, "materialize", materialize_without_empty, 99,
+        "FAIL closure-system-intersection n=3 r=1: trivial part incomplete: 7 of 8 sets with "
+        "size <= 1 or >= 2 present",
+    ),
+    "ortho-properties": (
+        rsplits.ortho, "_orthogonal_sizes",
+        source_mutant(rsplits.ortho, "_orthogonal_sizes", "inter < r or", "inter <= r or"), 2024,
+        "FAIL ortho-prop-flip-b n=4 r=0 A=1,3 B=2",
+    ),
+    "ortho-noncrossing-r1": (
+        rsplits.ortho, "_orthogonal_sizes",
+        source_mutant(rsplits.ortho, "_orthogonal_sizes", "a_minus_b == 0 or", "a_minus_b < 0 or"),
+        4, "FAIL ortho-noncrossing-r1 n=5 A=2,3 B=1,2,3,5",
+    ),
+    "singleton-closure": (
+        VertexSet, "complement", lambda self: VertexSet(self.n, self.mask ^ ((1 << self.n - 1) - 1)),
+        4, "FAIL singleton-closure n=8 r=2 A=2,3,7,8 middles=2",
+    ),
+    "family-laws": (
+        rsplits.ortho, "build_family",
+        source_mutant(rsplits.ortho, "build_family", "product(range(p.k)", "product(range(1, p.k)"),
+        2024, "FAIL family-count r=1 k=2",
+    ),
+}
+
+
 # The quick suite's report at seed 2024, byte for byte.
 QUICK_2024 = """\
 PASS gf2-rank-laws trials=200
@@ -504,6 +596,13 @@ class TestVerificationSuite:
         monkeypatch.setattr(module, name, broken)
         report = run_verification_suite(seed=seed, profile="quick")
         assert [res.tag for res in report.results if not res.passed] == failing
+
+    @pytest.mark.parametrize("tag", FAILURE_RETURNS)
+    def test_injected_fault_reaches_a_failure_return(self, monkeypatch, tag):
+        owner, name, broken, seed, line = FAILURE_RETURNS[tag]
+        monkeypatch.setattr(owner, name, broken)
+        check, trials = {t: (c, quick) for t, c, quick, _ in REGISTRY}[tag]
+        assert check(property_rng(seed, tag), trials).line() == line
 
     @pytest.mark.parametrize(
         "seed, failures",

@@ -1,4 +1,5 @@
-"""Split families of cycles, paths and complete graphs against closed forms.
+"""Split families of cycles, paths and complete graphs against closed forms,
+and the split search's work under another numbering of the same graph.
 
 These families are known in closed form, so they can be checked at sizes far
 past the brute-force oracle's cap, and past the exhaustive cap through
@@ -10,10 +11,12 @@ i - 1 for vertex i.
 from __future__ import annotations
 
 import itertools
+import random
 from math import comb
 
 import pytest
 
+import rsplits.graph
 from rsplits.graph import Graph
 from rsplits.splits import enumerate_r_splits, essential_representation
 
@@ -33,6 +36,13 @@ def path(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def grid(k: int) -> Graph:
+    """The k x k grid, vertex (i, j) numbered i k + j + 1 for 0 <= i, j < k."""
+    right = [(i * k + j + 1, i * k + j + 2) for i in range(k) for j in range(k - 1)]
+    down = [(i * k + j + 1, (i + 1) * k + j + 1) for i in range(k - 1) for j in range(k)]
+    return Graph.from_edges(k * k, right + down)
 
 
 def arcs(n: int, lengths: range) -> set[int]:
@@ -95,3 +105,24 @@ class TestCompleteGraphs:
         essential = essential_representation(family)
         assert len(essential) == comb(n, 2)
         assert essential.masks == {1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)}
+
+
+class TestNumbering:
+    """The split search decides vertices breadth-first from vertex 1, so its
+    work follows the graph, not the numbering of its vertices."""
+
+    @pytest.mark.parametrize("g, r", [(cycle(32), 2), (grid(6), 3)], ids=["C32", "grid-6x6"])
+    def test_random_numbering_keeps_the_rank_evaluations(self, g, r, monkeypatch):
+        calls = []
+        block_rank = rsplits.graph._block_rank
+        monkeypatch.setattr(rsplits.graph, "_block_rank",
+                            lambda *args: calls.append(None) or block_rank(*args))
+        natural = middles(g, r)
+        natural_calls = len(calls)
+        new = random.Random(f"numbering-{g.n}").sample(range(1, g.n + 1), g.n)
+        renumbered = Graph.from_edges(g.n, [(new[u - 1], new[v - 1]) for u, v in g.edges()])
+        calls.clear()
+        found = middles(renumbered, r)
+        moved = {sum(1 << new[i] - 1 for i in range(g.n) if m >> i & 1) for m in natural}
+        assert found == moved
+        assert len(calls) <= 1.5 * natural_calls, (len(calls), natural_calls)

@@ -177,29 +177,60 @@ def test_closed_family_caches_and_clones_without_its_cache():
 
 
 @pytest.mark.parametrize(
-    "build, error",
+    "build, error, frame",
     [
-        (lambda: VertexSet(2, 4), ValueError),
-        (lambda: VertexSet(-1, 0), ValueError),
-        (lambda: Graph(2, (1,)), ValueError),
-        (lambda: Graph(2, (1, 0)), ValueError),
-        (lambda: Graph(2, (2, 0)), ValueError),
-        (lambda: Hypergraph(2, frozenset({VertexSet(3, 1)})), ValueError),
-        (lambda: ClosedHypergraph(4, -1, frozenset()), ValueError),
-        (lambda: ClosedHypergraph(4, 1, frozenset({VertexSet(4, 1)})), ValueError),
-        (lambda: ClosedHypergraph(4, 1, frozenset({VertexSet(4, 5)})), NotClosedError),
-        (lambda: FamilyParams(0, 2), ValueError),
-        (lambda: FamilyParams(1, 1), ValueError),
+        (lambda: VertexSet(2, 4), ValueError, "__post_init__"),
+        (lambda: VertexSet(-1, 0), ValueError, "__post_init__"),
+        (lambda: Graph(2, (1,)), ValueError, "__init__"),
+        (lambda: Graph(2, (1, 0)), ValueError, "__init__"),
+        (lambda: Graph(2, (2, 0)), ValueError, "__init__"),
+        (lambda: Hypergraph(2, frozenset({VertexSet(3, 1)})), ValueError, "_set"),
+        (lambda: ClosedHypergraph(4, -1, frozenset()), ValueError, "__post_init__"),
+        (lambda: ClosedHypergraph(4, 1, frozenset({VertexSet(4, 1)})), ValueError, "__post_init__"),
+        (lambda: ClosedHypergraph(4, 1, frozenset({VertexSet(4, 5)})), NotClosedError,
+         "__post_init__"),
+        (lambda: FamilyParams(0, 2), ValueError, "__init__"),
+        (lambda: FamilyParams(1, 1), ValueError, "__init__"),
     ],
 )
-def test_invalid_fields_raise_from_post_init(build, error):
+def test_invalid_fields_raise_from_the_validating_method(build, error, frame):
     with pytest.raises(error) as excinfo:
         build()
-    assert any(entry.name == "__post_init__" for entry in excinfo.traceback)
+    names = [entry.name for entry in excinfo.traceback]
+    assert [name for name in names if name not in ("_check_universe", "_check_rank")][-1] == frame
 
 
-@pytest.mark.parametrize("cls", VALUE_CLASSES)
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: VertexSet(3, 8), ValueError, "mask 0x8 has bits outside a universe of size 3"),
+        (lambda: VertexSet.of(3, [4]), ValueError, "vertex 4 outside universe 1..3"),
+        (lambda: VertexSet.parse(3, "1,4"), ValueError,
+         "vertex 4 outside universe 1..3 in vertex set '1,4'"),
+        (lambda: Graph(2, (0, 2)), ValueError, "self-loop at vertex 2"),
+        (lambda: Graph.from_edges(2, [(1, 3)]), ValueError, r"edge \(1, 3\) outside vertex range 1..2"),
+        (lambda: Hypergraph(2, frozenset({VertexSet(3, 1)})), ValueError,
+         "edge over universe 3 in hypergraph over 2"),
+        (lambda: Hypergraph.of_vertex_lists(2, [[3]]), ValueError, "vertex 3 outside universe 1..2"),
+        (lambda: Hypergraph._from_masks(2, frozenset({4})), ValueError,
+         "edge mask 0x4 has bits outside a universe of size 2"),
+        (lambda: ClosedHypergraph(3, 0, frozenset({VertexSet(4, 3)})), ValueError,
+         "middle over universe 4 in family over 3"),
+        (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({1})), ValueError,
+         "1 has size 1, outside the middle zone"),
+        (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({5})), NotClosedError,
+         r"not complement closed \(1,3\)"),
+        (lambda: FamilyParams(1, 1), ValueError, "k must be >= 2"),
+    ],
+)
+def test_every_way_of_building_rejects_an_invalid_field(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("cls", [VertexSet, ClosedHypergraph])
 def test_patched_post_init_runs_on_construction(cls, monkeypatch):
+    """The hook the benchmark's tracer wraps to count constructions."""
     seen = []
     original = cls.__post_init__
 
