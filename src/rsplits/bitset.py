@@ -28,6 +28,25 @@ def _check_rank(r: int) -> None:
         raise ValueError("r must be >= 0")
 
 
+# The three universe rules, each with its one error text.  A hot path makes the
+# comparison inline and calls its rule only when the comparison fails.
+def _check_same_universe(n: int, m: int) -> None:
+    if n != m:
+        raise ValueError(f"universe mismatch: {n} vs {m}")
+
+
+def _check_masks(n: int, masks: Iterable[int]) -> None:
+    for x in masks:
+        if x >> n:  # 0 only when 0 <= x < 2^n
+            raise ValueError(f"mask {x:#x} has bits outside a universe of size {n}")
+
+
+def _check_members(n: int, sets: Iterable[VertexSet]) -> None:
+    for a in sets:
+        if a.n != n:
+            raise ValueError(f"member over universe {a.n} in family over {n}")
+
+
 def data_lines(text: str) -> list[tuple[int, str]]:
     """Stripped lines that are neither blank nor '#' comments, with their 1-based numbers."""
     lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1)]
@@ -119,7 +138,7 @@ class VertexSet(Frozen):
         if not 0 <= n <= limits.MAX_UNIVERSE:
             _check_universe(n)
         if not 0 <= self.mask < (1 << n):
-            raise ValueError(f"mask {self.mask:#x} has bits outside a universe of size {self.n}")
+            _check_masks(n, (self.mask,))
 
     @classmethod
     def of(cls, n: int, vertices: Iterable[int] = ()) -> VertexSet:
@@ -174,27 +193,27 @@ class VertexSet(Frozen):
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
 
-    def _check_same_universe(self, other: VertexSet) -> None:
-        if self.n != other.n:
-            raise ValueError(f"universe mismatch: {self.n} vs {other.n}")
-
     def __or__(self, other: VertexSet) -> VertexSet:
-        self._check_same_universe(other)
+        if self.n != other.n:
+            _check_same_universe(self.n, other.n)
         return VertexSet(self.n, self.mask | other.mask)
 
     def __and__(self, other: VertexSet) -> VertexSet:
-        self._check_same_universe(other)
+        if self.n != other.n:
+            _check_same_universe(self.n, other.n)
         return VertexSet(self.n, self.mask & other.mask)
 
     def __sub__(self, other: VertexSet) -> VertexSet:
-        self._check_same_universe(other)
+        if self.n != other.n:
+            _check_same_universe(self.n, other.n)
         return VertexSet(self.n, self.mask & ~other.mask)
 
     def complement(self) -> VertexSet:
         return VertexSet(self.n, self.mask ^ ((1 << self.n) - 1))
 
     def issubset(self, other: VertexSet) -> bool:
-        self._check_same_universe(other)
+        if self.n != other.n:
+            _check_same_universe(self.n, other.n)
         return self.mask & ~other.mask == 0
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:

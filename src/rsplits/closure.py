@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .bitset import VertexSet, _check_rank
+from .bitset import VertexSet, _check_rank, mask_sort_key
 from .hypergraph import ClosedHypergraph, Hypergraph, middles_and_complements
 
 
@@ -53,19 +53,20 @@ def check_derived_rules(h: ClosedHypergraph) -> list[str]:
     all members.
     """
     n, r = h.n, h.r
-    middles = [(a, a.mask) for a in h.sorted_middles()]
+    order = sorted(h.masks, key=mask_sort_key)
 
     def missing(x: int) -> bool:
         size = x.bit_count()
         return r < size < n - r and x not in h.masks
 
-    violations = []
-    for i, (sa, a) in enumerate(middles):
-        for sb, b in islice(middles, i + 1, None):
+    violations = []  # (rule, A, B, the missing set) as masks
+    for i, a in enumerate(order):
+        for b in islice(order, i + 1, None):
             if n - (a | b).bit_count() >= r and missing(a & b):
-                violations.append(f"P1 violated by ({sa}, {sb}): {VertexSet(n, a & b)} missing")
+                violations.append(("P1", a, b, a & b))
             if (a & ~b).bit_count() >= r and missing(b & ~a):
-                violations.append(f"P2 violated by ({sa}, {sb}): {VertexSet(n, b & ~a)} missing")
+                violations.append(("P2", a, b, b & ~a))
             if (b & ~a).bit_count() >= r and missing(a & ~b):
-                violations.append(f"P2 violated by ({sb}, {sa}): {VertexSet(n, a & ~b)} missing")
-    return violations
+                violations.append(("P2", b, a, a & ~b))
+    return [f"{rule} violated by ({VertexSet(n, a)}, {VertexSet(n, b)}): {VertexSet(n, x)} missing"
+            for rule, a, b, x in violations]

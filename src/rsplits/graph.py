@@ -25,10 +25,8 @@ class Graph(Frozen):
         _check_universe(n)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
-        full = (1 << n) - 1
+        bitset._check_masks(n, adj)
         for u, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row {u + 1} has bits outside the vertex range")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u + 1}")
         for u in range(n):
@@ -78,8 +76,7 @@ class Graph(Frozen):
 
 def cut_rank(g: Graph, x: VertexSet) -> int:
     """Rank of the cut (x, complement) over GF(2)."""
-    if x.n != g.n:
-        raise ValueError(f"universe mismatch: set over {x.n}, graph over {g.n}")
+    bitset._check_same_universe(x.n, g.n)
     return _block_rank(g.adj, x.mask, ((1 << g.n) - 1) ^ x.mask)
 
 

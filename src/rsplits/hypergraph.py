@@ -17,7 +17,8 @@ from typing import Iterable, Iterator
 
 from . import limits
 from .bitset import (
-    Frozen, VertexSet, _check_rank, _check_universe, _setattr, data_lines, mask_sort_key, parse_int,
+    Frozen, VertexSet, _check_masks, _check_members, _check_rank, _check_same_universe,
+    _check_universe, _setattr, data_lines, mask_sort_key, parse_int,
 )
 
 
@@ -34,6 +35,7 @@ class Hypergraph(Frozen):
     masks: frozenset[int]
 
     def __init__(self, n: int, edges: frozenset[VertexSet]) -> None:
+        _check_members(n, edges)
         self.__dict__["edges"] = edges  # seeds the cached view
         self._set(n, frozenset(edge.mask for edge in edges))
 
@@ -46,12 +48,7 @@ class Hypergraph(Frozen):
 
     def _set(self, n: int, masks: frozenset[int]) -> None:
         _check_universe(n)
-        for x in masks:
-            if x >> n:
-                raise ValueError(f"edge mask {x:#x} has bits outside a universe of size {n}")
-        for edge in self.__dict__.get("edges", ()):  # the public constructor's VertexSets
-            if edge.n != n:
-                raise ValueError(f"edge over universe {edge.n} in hypergraph over {n}")
+        _check_masks(n, masks)
         _setattr(self, "n", n)
         _setattr(self, "masks", masks)
 
@@ -92,9 +89,7 @@ class ClosedHypergraph(Frozen):
     masks: frozenset[int]
 
     def __init__(self, n: int, r: int, middles: frozenset[VertexSet]) -> None:
-        for a in middles:
-            if a.n != n:
-                raise ValueError(f"middle over universe {a.n} in family over {n}")
+        _check_members(n, middles)
         self.__dict__["middles"] = middles  # seeds the cached view
         self._set(n, r, frozenset(a.mask for a in middles))
 
@@ -116,6 +111,7 @@ class ClosedHypergraph(Frozen):
         _check_universe(self.n)
         _check_rank(self.r)
         n, r, masks = self.n, self.r, self.masks
+        _check_masks(n, masks)
         full = (1 << n) - 1
         for x in masks:
             size = x.bit_count()
@@ -131,7 +127,7 @@ class ClosedHypergraph(Frozen):
 
     def contains(self, a: VertexSet) -> bool:
         if a.n != self.n:
-            raise ValueError(f"universe mismatch: {a.n} vs {self.n}")
+            _check_same_universe(a.n, self.n)
         size = a.mask.bit_count()
         return size <= self.r or size >= self.n - self.r or a.mask in self.masks
 
@@ -147,9 +143,6 @@ class ClosedHypergraph(Frozen):
                     x = sum(combo)
                     meets[x] = meets.get(x, a) & a
         return meets
-
-    def sorted_middles(self) -> list[VertexSet]:
-        return sorted(self.middles, key=VertexSet.sort_key)
 
     def member_count(self) -> int:
         """Total family size, implicit part included."""
@@ -301,6 +294,6 @@ def parse_closed(text: str) -> ClosedHypergraph:
 
 def format_closed(h: ClosedHypergraph) -> str:
     lines = [str(h.n), f"r {h.r}"]
-    lines.extend(str(a) for a in h.sorted_middles())
+    lines.extend(str(a) for a in sorted(h.middles, key=VertexSet.sort_key))
     lines.append(_IMPLICIT_MARKER)
     return "\n".join(lines) + "\n"

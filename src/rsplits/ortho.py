@@ -13,7 +13,9 @@ import itertools
 from typing import NamedTuple, Optional
 
 from . import closure, hypergraph, limits, splits
-from .bitset import Frozen, VertexSet, _check_rank, _check_universe, _setattr, mask_sort_key
+from .bitset import (
+    Frozen, VertexSet, _check_rank, _check_same_universe, _check_universe, _setattr, mask_sort_key,
+)
 from .hypergraph import ClosedHypergraph, Hypergraph
 
 
@@ -34,8 +36,7 @@ def is_orthogonal(a: VertexSet, b: VertexSet, r: int) -> bool:
     """Orthogonality by the closed-form criterion: two conjuncts, each a
     five-way alternative over intersection, containment, complement-union
     and difference cardinalities."""
-    if a.n != b.n:
-        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
+    _check_same_universe(a.n, b.n)
     _check_rank(r)
     x, y = a.mask, b.mask
     return _orthogonal_sizes(a.n, x.bit_count(), y.bit_count(), (x & y).bit_count(), r)
@@ -45,8 +46,7 @@ def is_orthogonal_oracle(a: VertexSet, b: VertexSet, r: int) -> bool:
     """Orthogonality by its definition: the pair closure with the union
     rule equals the pair closure without it.  The closure never leaves the
     16 sets that a and b generate, so its work does not grow with n."""
-    if a.n != b.n:
-        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
+    _check_same_universe(a.n, b.n)
     pair = Hypergraph(a.n, frozenset({a, b}))
     return hypergraph.equals(closure.close_full(pair, r), closure.close_degenerate(pair, r))
 

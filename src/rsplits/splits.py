@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import closure, graph, hypergraph, limits
-from .bitset import VertexSet, _check_rank, mask_sort_key
+from .bitset import VertexSet, _check_rank, _check_same_universe, mask_sort_key
 from .graph import Graph
 from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError
 
@@ -50,8 +50,7 @@ def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
     satisfy 2|A| <= n.  The minimum is realized as the intersection of all
     candidates, which must itself be a candidate when h is truly closed.
     """
-    if x.n != h.n:
-        raise ValueError(f"universe mismatch: {x.n} vs {h.n}")
+    _check_same_universe(x.n, h.n)
     if len(x) != h.r + 1:
         raise ValueError(f"phi takes a set of exactly {h.r + 1} vertices, got {len(x)}")
     meet = h._half_size_meets.get(x.mask)

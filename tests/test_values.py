@@ -184,7 +184,9 @@ def test_closed_family_caches_and_clones_without_its_cache():
         (lambda: Graph(2, (1,)), ValueError, "__init__"),
         (lambda: Graph(2, (1, 0)), ValueError, "__init__"),
         (lambda: Graph(2, (2, 0)), ValueError, "__init__"),
-        (lambda: Hypergraph(2, frozenset({VertexSet(3, 1)})), ValueError, "_set"),
+        (lambda: Hypergraph(2, frozenset({VertexSet(3, 1)})), ValueError, "__init__"),
+        (lambda: Hypergraph._from_masks(2, frozenset({4})), ValueError, "_set"),
+        (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({16})), ValueError, "__post_init__"),
         (lambda: ClosedHypergraph(4, -1, frozenset()), ValueError, "__post_init__"),
         (lambda: ClosedHypergraph(4, 1, frozenset({VertexSet(4, 1)})), ValueError, "__post_init__"),
         (lambda: ClosedHypergraph(4, 1, frozenset({VertexSet(4, 5)})), NotClosedError,
@@ -197,7 +199,7 @@ def test_invalid_fields_raise_from_the_validating_method(build, error, frame):
     with pytest.raises(error) as excinfo:
         build()
     names = [entry.name for entry in excinfo.traceback]
-    assert [name for name in names if name not in ("_check_universe", "_check_rank")][-1] == frame
+    assert [name for name in names if not name.startswith("_check_")][-1] == frame
 
 
 @pytest.mark.parametrize(
@@ -210,12 +212,12 @@ def test_invalid_fields_raise_from_the_validating_method(build, error, frame):
         (lambda: Graph(2, (0, 2)), ValueError, "self-loop at vertex 2"),
         (lambda: Graph.from_edges(2, [(1, 3)]), ValueError, r"edge \(1, 3\) outside vertex range 1..2"),
         (lambda: Hypergraph(2, frozenset({VertexSet(3, 1)})), ValueError,
-         "edge over universe 3 in hypergraph over 2"),
+         "member over universe 3 in family over 2"),
         (lambda: Hypergraph.of_vertex_lists(2, [[3]]), ValueError, "vertex 3 outside universe 1..2"),
         (lambda: Hypergraph._from_masks(2, frozenset({4})), ValueError,
-         "edge mask 0x4 has bits outside a universe of size 2"),
+         "mask 0x4 has bits outside a universe of size 2"),
         (lambda: ClosedHypergraph(3, 0, frozenset({VertexSet(4, 3)})), ValueError,
-         "middle over universe 4 in family over 3"),
+         "member over universe 4 in family over 3"),
         (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({1})), ValueError,
          "1 has size 1, outside the middle zone"),
         (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({5})), NotClosedError,
@@ -226,6 +228,14 @@ def test_invalid_fields_raise_from_the_validating_method(build, error, frame):
 def test_every_way_of_building_rejects_an_invalid_field(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("masks", [frozenset({0b10011, 0b11100}), frozenset({-3, -14})])
+def test_closed_family_refuses_masks_outside_its_universe(masks):
+    """Both pairs pass the middle-zone and complement rules within 4 bits, so
+    only the mask rule can refuse them."""
+    with pytest.raises(ValueError, match="^mask -?0x[0-9a-f]+ has bits outside a universe of size 4$"):
+        ClosedHypergraph._from_masks(4, 0, masks)
 
 
 @pytest.mark.parametrize("cls", [VertexSet, ClosedHypergraph])
