@@ -72,6 +72,12 @@ def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), mask_members(mask))
 
 
+def format_mask(mask: int) -> str:
+    """The textual form of a vertex set: its vertices ascending, comma-separated,
+    and `-` for the empty set."""
+    return ",".join(map(str, mask_members(mask))) if mask else "-"
+
+
 class Frozen:
     """Base of the immutable value types.
 
@@ -180,9 +186,7 @@ class VertexSet(Frozen):
         return mask_members(self.mask)
 
     def __str__(self) -> str:
-        if not self.mask:
-            return "-"
-        return ",".join(map(str, self.members()))
+        return format_mask(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

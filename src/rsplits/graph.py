@@ -213,19 +213,18 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"line {k}: edge count must be >= 0, got {m}")
     if len(data) - 1 != m:
         raise ValueError(f"line {k}: header promises {m} edges, file has {len(data) - 1}")
-    edges = []
-    seen = set()
+    adj = [0] * n
     for k, ln in data[1:]:
         u, v = _int_pair(k, ln, "edge line", "'u v'")
         if u == v:
             raise ValueError(f"line {k}: self-loop {u} {v} rejected")
         if not (1 <= u < v <= n):
             raise ValueError(f"line {k}: edge {u} {v} violates 1 <= u < v <= n")
-        if (u, v) in seen:
+        if adj[u - 1] >> (v - 1) & 1:
             raise ValueError(f"line {k}: duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return Graph(n, tuple(adj))
 
 
 def _int_pair(lineno: int, line: str, what: str, expected: str) -> tuple[int, int]:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Optional
 
 from . import limits
 from .bitset import (
     Frozen, VertexSet, _check_masks, _check_members, _check_rank, _check_same_universe,
-    _check_universe, _setattr, data_lines, mask_sort_key, parse_int,
+    _check_universe, _setattr, data_lines, format_mask, mask_sort_key, parse_int,
 )
 
 
@@ -79,6 +79,23 @@ def trivial_closure_size(n: int, r: int) -> int:
     return sum(math.comb(n, i) for i in range(n + 1) if i <= r or i >= n - r)
 
 
+def _middle_fault(n: int, r: int, masks: Collection[int]) -> Optional[tuple[int, ValueError]]:
+    """K0 and K1 on the middles of a closed family: the first of `masks`, in
+    their order, outside the middle zone r < |A| < n-r, else the first whose
+    complement is not among them, paired with the error that names it; None
+    when both rules hold."""
+    for x in masks:
+        size = x.bit_count()
+        if not r < size < n - r:
+            return x, ValueError(f"'{format_mask(x)}' has size {size}, outside the middle zone")
+    full = (1 << n) - 1
+    for x in masks:
+        if x ^ full not in masks:
+            co = format_mask(x ^ full)
+            return x, NotClosedError(f"'{format_mask(x)}' has no complement '{co}'")
+    return None
+
+
 class ClosedHypergraph(Frozen):
     """Canonical r-closed family: explicit middles, implicit trivial part."""
 
@@ -110,15 +127,10 @@ class ClosedHypergraph(Frozen):
     def __post_init__(self) -> None:
         _check_universe(self.n)
         _check_rank(self.r)
-        n, r, masks = self.n, self.r, self.masks
-        _check_masks(n, masks)
-        full = (1 << n) - 1
-        for x in masks:
-            size = x.bit_count()
-            if not r < size < n - r:
-                raise ValueError(f"{VertexSet(n, x)} has size {size}, outside the middle zone")
-            if x ^ full not in masks:
-                raise NotClosedError(f"not complement closed ({VertexSet(n, x)})")
+        _check_masks(self.n, self.masks)
+        fault = _middle_fault(self.n, self.r, self.masks)
+        if fault:
+            raise fault[1]
 
     @functools.cached_property
     def middles(self) -> frozenset[VertexSet]:
@@ -231,19 +243,20 @@ def _parse_universe(k: int, line: str) -> int:
     return n
 
 
-def _parse_sets(n: int, data: list[tuple[int, str]]) -> list[VertexSet]:
-    first_line: dict[VertexSet, int] = {}
+def _parse_sets(n: int, data: list[tuple[int, str]]) -> dict[int, int]:
+    """Each line's vertex set as a mask, mapped to its line number, in line order."""
+    first_line: dict[int, int] = {}
     for k, line in data:
         try:
-            a = VertexSet.parse(n, line)
+            mask = VertexSet.parse(n, line).mask
         except ValueError as exc:
             raise ValueError(f"line {k}: {exc}") from None
-        if a in first_line:
+        if mask in first_line:
             raise ValueError(
-                f"line {k}: duplicate vertex set {line!r} (first on line {first_line[a]})"
+                f"line {k}: duplicate vertex set {line!r} (first on line {first_line[mask]})"
             )
-        first_line[a] = k
-    return list(first_line)
+        first_line[mask] = k
+    return first_line
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -255,12 +268,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if not data:
         raise ValueError("hypergraph file has no data lines")
     n = _parse_universe(*data[0])
-    return Hypergraph(n, frozenset(_parse_sets(n, data[1:])))
+    return Hypergraph._from_masks(n, frozenset(_parse_sets(n, data[1:])))
 
 
 def format_hypergraph(h: Hypergraph) -> str:
     lines = [str(h.n)]
-    lines.extend(str(edge) for edge in h.sorted_edges())
+    lines.extend(map(format_mask, sorted(h.masks, key=mask_sort_key)))
     return "\n".join(lines) + "\n"
 
 
@@ -278,22 +291,16 @@ def parse_closed(text: str) -> ClosedHypergraph:
         r = -1
     if r < 0:
         raise ValueError(f"line {k}: bad rank header {header!r}, expected 'r <value>'")
-    body = [(k, ln) for k, ln in data[2:] if ln != _IMPLICIT_MARKER]
-    middles = _parse_sets(n, body)
-    for (k, line), a in zip(body, middles):
-        if not r < len(a) < n - r:
-            raise ValueError(f"line {k}: {line!r} has size {len(a)}, outside the middle zone")
-    masks = {a.mask for a in middles}
-    for (k, line), a in zip(body, middles):
-        if a.complement().mask not in masks:
-            raise NotClosedError(
-                f"line {k}: {line!r} has no complement '{a.complement()}' in the file"
-            )
-    return ClosedHypergraph(n, r, frozenset(middles))
+    first_line = _parse_sets(n, [(k, ln) for k, ln in data[2:] if ln != _IMPLICIT_MARKER])
+    try:
+        return ClosedHypergraph._from_masks(n, r, frozenset(first_line))
+    except ValueError:  # K0 or K1: name the first offending line
+        mask, error = _middle_fault(n, r, first_line)
+        raise type(error)(f"line {first_line[mask]}: {error}") from None
 
 
 def format_closed(h: ClosedHypergraph) -> str:
     lines = [str(h.n), f"r {h.r}"]
-    lines.extend(str(a) for a in sorted(h.middles, key=VertexSet.sort_key))
+    lines.extend(map(format_mask, sorted(h.masks, key=mask_sort_key)))
     lines.append(_IMPLICIT_MARKER)
     return "\n".join(lines) + "\n"

@@ -650,7 +650,7 @@ class TestHypergraphParseErrors:
             (["member", "-r", "1", "-X", "1,3"], "4\nr 1\n1,3\n2,4\n1,3\n",
              "line 5: duplicate vertex set '1,3' (first on line 3)"),
             (["member", "-r", "1", "-X", "1,3"], "4\nr 1\n1,3\n",
-             "line 3: '1,3' has no complement '2,4' in the file"),
+             "line 3: '1,3' has no complement '2,4'"),
         ],
     )
     def test_exit_2_with_one_line_naming_the_line(self, tmp_path, capsys, argv, text, message):

@@ -77,7 +77,7 @@ class TestNormalize:
 
     def test_missing_complement(self):
         h = materialized_family(8, 2, [(1, 2, 3)])
-        with pytest.raises(NotClosedError, match="not complement closed"):
+        with pytest.raises(NotClosedError, match="^'1,2,3' has no complement '4,5,6,7,8'$"):
             normalize(h, 2)
 
     def test_trivial_part_alone(self):
@@ -306,7 +306,11 @@ class TestParseErrorsNameTheLine:
             ("4\nr 1\n1,3\n2,x\n", "line 4: bad vertex set '2,x'"),
             ("4\nr 1\n1,3\n1\n", "line 4: '1' has size 1, outside the middle zone"),
             ("4\nr 1\n1,3\n2,4\n1,3\n", "line 5: duplicate vertex set '1,3' (first on line 3)"),
-            ("6\nr 1\n1,2\n3,4,5,6\n2,3\n", "line 5: '2,3' has no complement '1,4,5,6' in the file"),
+            ("6\nr 1\n1,2\n3,4,5,6\n2,3\n", "line 5: '2,3' has no complement '1,4,5,6'"),
+            # several faults: the first line in file order is named
+            ("6\nr 1\n2,3\n1,2\n3,4,5,6\n", "line 3: '2,3' has no complement '1,4,5,6'"),
+            # a fault found while reading comes before the K0 and K1 rules
+            ("4\nr 1\n1\n1,3\n1,3\n", "line 5: duplicate vertex set '1,3' (first on line 4)"),
         ],
     )
     def test_closed(self, text, message):
@@ -315,8 +319,16 @@ class TestParseErrorsNameTheLine:
         assert str(exc.value) == message
 
     def test_family_level_errors_keep_their_messages(self):
-        with pytest.raises(NotClosedError, match=r"^line 3: '1,3' has no complement '2,4' in the file$"):
+        with pytest.raises(NotClosedError, match=r"^line 3: '1,3' has no complement '2,4'$"):
             parse_closed("4\nr 1\n1,3\n")
+
+
+def test_loading_a_file_builds_no_vertex_set_view():
+    closed = parse_closed("4\nr 1\n1,3\n2,4\nimplicit cl-empty\n")
+    h = parse_hypergraph("4\n1,3\n-\n")
+    assert "middles" not in closed.__dict__
+    assert "edges" not in h.__dict__
+    assert (closed.masks, h.masks) == (frozenset({0b0101, 0b1010}), frozenset({0b0101, 0}))
 
 
 def test_free_contains_function_is_gone():

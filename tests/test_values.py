@@ -219,9 +219,9 @@ def test_invalid_fields_raise_from_the_validating_method(build, error, frame):
         (lambda: ClosedHypergraph(3, 0, frozenset({VertexSet(4, 3)})), ValueError,
          "member over universe 4 in family over 3"),
         (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({1})), ValueError,
-         "1 has size 1, outside the middle zone"),
+         "'1' has size 1, outside the middle zone"),
         (lambda: ClosedHypergraph._from_masks(4, 1, frozenset({5})), NotClosedError,
-         r"not complement closed \(1,3\)"),
+         "'1,3' has no complement '2,4'"),
         (lambda: FamilyParams(1, 1), ValueError, "k must be >= 2"),
     ],
 )
