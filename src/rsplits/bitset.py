@@ -7,6 +7,7 @@ and formatting time.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 from . import limits
@@ -42,6 +43,7 @@ def _check_masks(n: int, masks: Iterable[int]) -> None:
 
 
 def _check_members(n: int, sets: Iterable[VertexSet]) -> None:
+    _check_universe(n)  # first, so a universe error does not blame a member
     for a in sets:
         if a.n != n:
             raise ValueError(f"member over universe {a.n} in family over {n}")
@@ -86,23 +88,24 @@ class Frozen:
     so no value with invalid fields is ever built.  `VertexSet` and
     `ClosedHypergraph` instead store first and validate in `__post_init__`,
     because the benchmark's tracer (`perfbench/tracer.py`) wraps that hook to
-    count constructions.  Two values are equal when they have the same class
-    and the same field tuple, which is also what they hash.
+    count constructions.  Equality, hashing, repr and pickling are written only
+    here, on the field tuple read by the class's getter `_fields_of`: two values
+    are equal when they have the same class and field tuple, which they hash.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls) -> None:
+        cls._fields_of = operator.attrgetter(*cls._fields)  # 2+ fields, so a tuple
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._fields_of(self) == self._fields_of(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._fields_of(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,11 +114,11 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._fields_of(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), self._fields_of(self)
 
 
 class VertexSet(Frozen):
@@ -129,15 +132,6 @@ class VertexSet(Frozen):
         _setattr(self, "n", n)
         _setattr(self, "mask", mask)
         self.__post_init__()
-
-    # Spelled out for speed: sets of VertexSet hash and compare these a lot.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     def __post_init__(self) -> None:
         n = self.n

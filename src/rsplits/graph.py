@@ -42,8 +42,6 @@ class Graph(Frozen):
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         return cls(n, tuple(adj))

@@ -36,7 +36,6 @@ class Hypergraph(Frozen):
 
     def __init__(self, n: int, edges: frozenset[VertexSet]) -> None:
         _check_members(n, edges)
-        self.__dict__["edges"] = edges  # seeds the cached view
         self._set(n, frozenset(edge.mask for edge in edges))
 
     @classmethod
@@ -107,7 +106,6 @@ class ClosedHypergraph(Frozen):
 
     def __init__(self, n: int, r: int, middles: frozenset[VertexSet]) -> None:
         _check_members(n, middles)
-        self.__dict__["middles"] = middles  # seeds the cached view
         self._set(n, r, frozenset(a.mask for a in middles))
 
     @classmethod

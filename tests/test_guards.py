@@ -74,6 +74,12 @@ UNIVERSE_RULES = [
 GUARDS = [
     ("graph-edge-out-of-range", lambda: Graph.from_edges(3, [(1, 4)]),
      ValueError("edge (1, 4) outside vertex range 1..3")),
+    # Graph.__init__ alone rejects self-loops, after from_edges has built the
+    # rows, so a range fault on any edge is named before a self-loop.
+    ("graph-edge-self-loop", lambda: Graph.from_edges(3, [(2, 2)]),
+     ValueError("self-loop at vertex 2")),
+    ("graph-edge-range-before-self-loop", lambda: Graph.from_edges(3, [(1, 1), (1, 9)]),
+     ValueError("edge (1, 9) outside vertex range 1..3")),
     ("is-connected-empty", lambda: Graph(0, ()).is_connected(), True),
     ("is-connected-single", lambda: Graph(1, (0,)).is_connected(), True),
     ("is-r-split-negative-r", lambda: is_r_split(P3, VertexSet.of(3, (1,)), -1), R_NEGATIVE),
@@ -86,6 +92,13 @@ GUARDS = [
     # Where a routine checks more than r, the order of its checks is kept too.
     ("closed-universe-before-r", lambda: ClosedHypergraph(-1, -1, frozenset()),
      ValueError("universe size must be >= 0, got -1")),
+    # A family's own universe is judged before its members' universes.
+    ("hypergraph-universe-before-members", lambda: Hypergraph(-1, frozenset({VertexSet(3, 1)})),
+     ValueError("universe size must be >= 0, got -1")),
+    ("closed-universe-budget-before-members",
+     lambda: ClosedHypergraph(200, 1, frozenset({VertexSet(3, 3)})),
+     ValueError(f"universe size 200 exceeds the configured budget ({rsplits.limits.MAX_UNIVERSE}); "
+                "raise rsplits.limits.MAX_UNIVERSE to allow it")),
     ("orthogonal-universe-before-r", lambda: is_orthogonal(ONE, FOREIGN, -1), mismatch(4, 5)),
     *UNIVERSE_RULES,
 ]

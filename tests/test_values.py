@@ -67,13 +67,29 @@ REPORTS = {
 }
 
 VALUE_CLASSES = [VertexSet, Graph, Hypergraph, ClosedHypergraph, FamilyParams]
+NAMESPACE = {cls.__name__: cls for cls in VALUE_CLASSES} | {"frozenset": frozenset}
+
+# Families with several members, each built from VertexSets and from masks;
+# their reprs list the members in frozenset order, so no text is pinned.
+EDGES5 = frozenset(VertexSet.of(5, vs) for vs in ([1, 2], [2, 3, 4], [5], [1, 3, 5], []))
+# The middles of the 2-splits of the 6-cycle, each with its complement.
+MIDDLES6 = frozenset(VertexSet.parse(6, text) for text in (
+    "1,2,3", "1,2,6", "1,3,5", "1,5,6", "2,3,4", "2,4,6", "3,4,5", "4,5,6"))
+FAMILIES = {
+    "Hypergraph-sets": (lambda: Hypergraph(5, EDGES5), None),
+    "Hypergraph-masks": (
+        lambda: Hypergraph._from_masks(5, frozenset(a.mask for a in EDGES5)), None),
+    "ClosedHypergraph-sets": (lambda: ClosedHypergraph(6, 2, MIDDLES6), None),
+    "ClosedHypergraph-masks": (
+        lambda: ClosedHypergraph._from_masks(6, 2, frozenset(a.mask for a in MIDDLES6)), None),
+}
 
 
 def make(name: str):
-    return {**VALUES, **REPORTS}[name][0]()
+    return {**VALUES, **FAMILIES, **REPORTS}[name][0]()
 
 
-@pytest.mark.parametrize("name", list(VALUES))
+@pytest.mark.parametrize("name", list(VALUES) + list(FAMILIES))
 def test_equal_instances_are_equal_and_hash_equal(name):
     a, b = make(name), make(name)
     assert a is not b
@@ -103,6 +119,9 @@ def test_a_value_never_equals_a_tuple_or_another_type():
     for i, a in enumerate(instances):
         for j, b in enumerate(instances):
             assert (a == b) == (i == j)
+    for value in instances + [make(name) for name in FAMILIES]:
+        fields = tuple(getattr(value, field) for field in value._fields)
+        assert value != fields and fields != value and fields not in {value}
 
 
 @pytest.mark.parametrize("name", list(VALUES) + list(REPORTS))
@@ -147,7 +166,7 @@ def test_keyword_construction():
     assert PropertyResult(tag="x", trials=1, passed=False, detail="d").detail == "d"
 
 
-@pytest.mark.parametrize("name", list(VALUES) + list(REPORTS))
+@pytest.mark.parametrize("name", list(VALUES) + list(FAMILIES) + list(REPORTS))
 @pytest.mark.parametrize(
     "clone",
     [
@@ -164,7 +183,10 @@ def test_pickle_and_copy_round_trip(name, clone):
     assert type(twin) is type(original)
     assert twin == original
     assert hash(twin) == hash(original)
-    assert repr(twin) == repr(original) or name == "ClosedHypergraph"
+    # A frozenset field of several members need not list them in one order.
+    assert repr(twin) == repr(original) or name == "ClosedHypergraph" or name in FAMILIES
+    if name not in REPORTS:
+        assert eval(repr(twin), NAMESPACE) == original
 
 
 def test_closed_family_caches_and_clones_without_its_cache():
@@ -174,6 +196,42 @@ def test_closed_family_caches_and_clones_without_its_cache():
     twin = pickle.loads(pickle.dumps(family))
     assert twin == family and "_half_size_meets" not in vars(twin)
     assert phi(twin, VertexSet.of(4, [1, 3])) == first
+
+
+@pytest.mark.parametrize("cls", [Hypergraph, ClosedHypergraph])
+def test_family_is_one_value_whichever_constructor_built_it(cls):
+    by_sets, by_masks = make(f"{cls.__name__}-sets"), make(f"{cls.__name__}-masks")
+    assert by_sets == by_masks and not by_sets != by_masks
+    assert hash(by_sets) == hash(by_masks)
+    assert len({by_sets, by_masks}) == 1
+
+
+def test_family_views_are_built_from_masks_on_first_use():
+    h = Hypergraph(5, EDGES5)
+    assert "edges" not in vars(h)
+    assert h.edges == EDGES5 and h.edges is not EDGES5
+    closed = ClosedHypergraph(6, 2, MIDDLES6)
+    assert "middles" not in vars(closed)
+    assert closed.middles == MIDDLES6 and closed.middles is not MIDDLES6
+    assert make("Hypergraph-masks").edges == EDGES5
+    assert make("ClosedHypergraph-masks").middles == MIDDLES6
+
+
+@pytest.mark.parametrize(
+    "build, twin",
+    [
+        (lambda: C4, lambda: Graph(4, (10, 5, 10, 5))),
+        (lambda: Graph.from_edges(3, []), lambda: Graph(3, (0, 0, 0))),
+        (lambda: VertexSet.of(5, [1, 3, 5]), lambda: VertexSet(5, 0b10101)),
+        (lambda: VertexSet.of(4, [4, 2]), lambda: VertexSet.parse(4, "2,4")),
+        (lambda: VertexSet.empty(3), lambda: VertexSet(3, 0)),
+        (lambda: VertexSet.full(3), lambda: VertexSet.of(3, [1, 2, 3])),
+    ],
+)
+def test_equal_values_hash_equal_whichever_constructor_built_them(build, twin):
+    a, b = build(), twin()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 @pytest.mark.parametrize(
