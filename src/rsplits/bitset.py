@@ -150,20 +150,12 @@ class VertexSet(Frozen):
         return cls(n, mask)
 
     @classmethod
-    def empty(cls, n: int) -> VertexSet:
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> VertexSet:
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def parse(cls, n: int, text: str) -> VertexSet:
         """Parse the textual form: comma-separated ascending integers, `-` for the empty set."""
         _check_universe(n)  # before parsing, so a universe error does not blame the set
         text = text.strip()
         if text == "-":
-            return cls.empty(n)
+            return cls(n, 0)
         try:
             vertices = [parse_int(part.strip()) for part in text.split(",")]
         except ValueError:

@@ -123,7 +123,7 @@ def low_rank_cuts(
     """
     n = g.n
     lo, hi = (sizes.start, sizes.stop - 1) if sizes is not None else (1, n)
-    if n == 0 or lo > hi or hi < 1 or lo > n:
+    if n == 0 or bound < 0 or lo > hi or hi < 1 or lo > n:
         return
     adj = g.adj
     bits = _search_order(adj)

@@ -60,9 +60,6 @@ class Hypergraph(Frozen):
     def of_vertex_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> Hypergraph:
         return cls(n, frozenset(VertexSet.of(n, vs) for vs in lists))
 
-    def sorted_edges(self) -> list[VertexSet]:
-        return sorted(self.edges, key=VertexSet.sort_key)
-
     def __len__(self) -> int:
         return len(self.masks)
 
@@ -70,7 +67,8 @@ class Hypergraph(Frozen):
         return isinstance(edge, VertexSet) and edge.n == self.n and edge.mask in self.masks
 
     def __iter__(self) -> Iterator[VertexSet]:
-        return iter(self.sorted_edges())
+        """The edges in mask_sort_key order, built on each call."""
+        return (VertexSet(self.n, x) for x in sorted(self.masks, key=mask_sort_key))
 
 
 def trivial_closure_size(n: int, r: int) -> int:

@@ -98,14 +98,14 @@ def random_hypergraph(
     max_size: Optional[int] = None,
 ) -> Hypergraph:
     count = rng.randint(0, max_edges)
-    edges = []
+    masks = set()
     for _ in range(count):
         if max_size is None:
-            edges.append(random_vertex_set(rng, n))
+            masks.add(rng.getrandbits(n))
         else:
             size = rng.randint(0, min(max_size, n))
-            edges.append(VertexSet.of(n, rng.sample(range(1, n + 1), size)))
-    return Hypergraph(n, frozenset(edges))
+            masks.add(sum(1 << v - 1 for v in rng.sample(range(1, n + 1), size)))
+    return Hypergraph._from_masks(n, frozenset(masks))
 
 
 def random_closed_family(rng: random.Random, n: int, r: int) -> ClosedHypergraph:
@@ -129,7 +129,7 @@ def _rank_connected_pool(rng: random.Random, r: int) -> list[Graph]:
 
 
 def _sorted_members(closed: ClosedHypergraph) -> list[int]:
-    """The member masks in VertexSet.sort_key order: by size, then by
+    """The member masks in mask_sort_key order: by size, then by
     ascending vertex list.  Each trivial size comes from combinations of
     the bits, which yield that order; the middles sit between."""
     n, r = closed.n, closed.r
@@ -356,7 +356,7 @@ def check_closure_operator_laws(rng: random.Random) -> Failure:
     if not all(closed.contains(edge) for edge in h.edges):
         return "closure-extensive", f"n={n} r={r}"
     extra = random_vertex_set(rng, n)
-    wider = Hypergraph(n, h.edges | {extra})
+    wider = Hypergraph._from_masks(n, h.masks | {extra.mask})
     wider_closed = closure_mod.close_full(wider, r)
     if not closed.masks <= wider_closed.masks:
         return "closure-monotone", f"n={n} r={r} extra={extra}"
@@ -408,7 +408,7 @@ def check_closure_system_intersection(rng: random.Random) -> Failure:
     n = rng.randint(3, 8)
     h1 = random_closed_family(rng, n, r)
     h2 = random_closed_family(rng, n, r)
-    meet = ClosedHypergraph(n, r, h1.middles & h2.middles)
+    meet = ClosedHypergraph._from_masks(n, r, h1.masks & h2.masks)
     try:
         hypergraph.normalize(meet.materialize(), r)
     except ValueError as exc:
@@ -609,7 +609,7 @@ def check_family_laws(rng: random.Random, trials: int) -> Outcome:
         family = ortho_mod.build_family(FamilyParams(r, k))
         if len(family) != k**r:
             return case, ("family-count", f"r={r} k={k}")
-        edges = family.sorted_edges()
+        edges = list(family)
         if any(len(e) != r + 1 for e in edges):
             return case, ("family-edge-size", f"r={r} k={k}")
         for e in edges:

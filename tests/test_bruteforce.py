@@ -550,6 +550,59 @@ def drop_one_complement_pair(h: Hypergraph, r: int) -> ClosedHypergraph:
     return ClosedHypergraph(closed.n, r, closed.middles - {a, a.complement()})
 
 
+TRUE_CLOSE_DEGENERATE = rsplits.closure.close_degenerate
+TRUE_BUILD_FAMILY = rsplits.ortho.build_family
+TRUE_CROSSFREE_SIZE_BOUNDS = rsplits.ortho.crossfree_size_bounds
+
+
+def close_full_dropping_wide_inputs(h: Hypergraph, r: int) -> ClosedHypergraph:
+    """close_full that loses every middle of an input with three or more edges."""
+    closed = TRUE_CLOSE_FULL(h, r)
+    return ClosedHypergraph._from_masks(h.n, r, frozenset()) if len(h) >= 3 else closed
+
+
+def close_degenerate_with_a_stray_pair(h: Hypergraph, r: int) -> ClosedHypergraph:
+    """close_degenerate that adds the lowest middle outside the full closure,
+    with its complement."""
+    closed = TRUE_CLOSE_DEGENERATE(h, r)
+    n, full, inside = h.n, (1 << h.n) - 1, TRUE_CLOSE_FULL(h, r).masks
+    outside = [x for x in range(full + 1) if r < x.bit_count() < n - r and x not in inside]
+    if not outside:
+        return closed
+    return ClosedHypergraph._from_masks(n, r, closed.masks | {outside[0], outside[0] ^ full})
+
+
+def build_family_with_a_grown_edge(p) -> Hypergraph:
+    """build_family with its lowest edge grown by its lowest missing vertex."""
+    h = TRUE_BUILD_FAMILY(p)
+    edge = min(h.masks)
+    return Hypergraph._from_masks(h.n, h.masks - {edge} | {edge | (edge + 1) & ~edge})
+
+
+# sub-tag -> (check, owner, routine, its broken version, seed, the line the
+# check prints at its quick trial count): failure returns that FAILURE_RETURNS
+# leaves unreached, each driven by a fault of its own.
+SUB_TAG_RETURNS = {
+    "closure-monotone": (
+        "closure-operator-laws", rsplits.closure, "close_full", close_full_dropping_wide_inputs,
+        99, "FAIL closure-monotone n=3 r=0 extra=1,3",
+    ),
+    "degenerate-below-full": (
+        "closure-operator-laws", rsplits.closure, "close_degenerate",
+        close_degenerate_with_a_stray_pair, 99, "FAIL degenerate-below-full n=5 r=0",
+    ),
+    "family-edge-size": (
+        "family-laws", rsplits.ortho, "build_family", build_family_with_a_grown_edge,
+        2024, "FAIL family-edge-size r=1 k=2",
+    ),
+    "crossfree-size-chain": (
+        "family-laws", rsplits.ortho, "crossfree_size_bounds",
+        lambda h, r: TRUE_CROSSFREE_SIZE_BOUNDS(h, r)._replace(chain_holds=False),
+        2024, "FAIL crossfree-size-chain r=1 k=2",
+    ),
+}
+
+
 class TestVerificationSuite:
     def test_quick_profile_passes(self):
         report = run_verification_suite(seed=99, profile="quick")
@@ -600,6 +653,13 @@ class TestVerificationSuite:
     @pytest.mark.parametrize("tag", FAILURE_RETURNS)
     def test_injected_fault_reaches_a_failure_return(self, monkeypatch, tag):
         owner, name, broken, seed, line = FAILURE_RETURNS[tag]
+        monkeypatch.setattr(owner, name, broken)
+        check, trials = {t: (c, quick) for t, c, quick, _ in REGISTRY}[tag]
+        assert check(property_rng(seed, tag), trials).line() == line
+
+    @pytest.mark.parametrize("sub_tag", SUB_TAG_RETURNS)
+    def test_injected_fault_names_the_sub_tag(self, monkeypatch, sub_tag):
+        tag, owner, name, broken, seed, line = SUB_TAG_RETURNS[sub_tag]
         monkeypatch.setattr(owner, name, broken)
         check, trials = {t: (c, quick) for t, c, quick, _ in REGISTRY}[tag]
         assert check(property_rng(seed, tag), trials).line() == line

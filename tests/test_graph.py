@@ -14,6 +14,7 @@ from rsplits.graph import (
     is_r_rank_connected,
     is_r_split,
     is_trivial_cut,
+    low_rank_cuts,
     parse_graph,
 )
 from rsplits.limits import TooLargeError
@@ -26,8 +27,8 @@ class TestCutRank:
         assert brute_cut_rank(nine_vertex_graph, frozenset({1, 2, 3, 4, 5})) == 2
 
     def test_empty_and_full_sides(self, nine_vertex_graph):
-        assert cut_rank(nine_vertex_graph, VertexSet.empty(9)) == 0
-        assert cut_rank(nine_vertex_graph, VertexSet.full(9)) == 0
+        assert cut_rank(nine_vertex_graph, VertexSet(9, 0)) == 0
+        assert cut_rank(nine_vertex_graph, VertexSet(9, (1 << 9) - 1)) == 0
 
     def test_path_middle_vertex(self):
         path = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -61,7 +62,7 @@ class TestSplitPredicates:
     def test_trivial_cut_examples(self, nine_vertex_graph):
         assert is_trivial_cut(nine_vertex_graph, VertexSet.of(9, [9]))
         assert not is_trivial_cut(nine_vertex_graph, VertexSet.of(9, [1, 2, 3, 4, 5]))
-        assert is_trivial_cut(nine_vertex_graph, VertexSet.empty(9))
+        assert is_trivial_cut(nine_vertex_graph, VertexSet(9, 0))
 
 
 class TestRankConnectivity:
@@ -100,6 +101,12 @@ class TestRankConnectivity:
 
     def test_r0_is_vacuous(self, k33):
         assert is_r_rank_connected(k33, 0)
+
+    def test_negative_bound_yields_no_cut(self):
+        # r = 0 searches at bound -1; no cut has negative rank.
+        for g in all_graphs(4):
+            assert list(low_rank_cuts(g, -1)) == [], g
+            assert is_r_rank_connected(g, 0), g
 
     def test_cap_refused(self):
         g = Graph(30, tuple(0 for _ in range(30)))

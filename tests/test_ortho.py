@@ -36,7 +36,7 @@ def vs(n, vertices):
 
 def first_crossing_by_full_scan(h, r):
     """The first non-orthogonal pair in canonical order, every set paired."""
-    ordered = h.sorted_edges()
+    ordered = list(h)
     return next(
         ((a, b) for i, a in enumerate(ordered) for b in ordered[i:] if not is_orthogonal(a, b, r)),
         None,
@@ -193,11 +193,11 @@ class TestCrossFree:
 
     def test_first_pair_matches_a_scan_by_the_definition(self):
         family = build_family(FamilyParams(2, 3))
-        for edge in family.sorted_edges():
+        for edge in family:
             for v in range(1, 10):
                 flipped = VertexSet(9, edge.mask ^ (1 << (v - 1)))
                 h = Hypergraph(9, (family.edges - {edge}) | {flipped})
-                edges = h.sorted_edges()
+                edges = list(h)
                 expected = next(
                     ((a, b) for i, a in enumerate(edges) for b in edges[i:]
                      if not is_orthogonal_oracle(a, b, 2)),
@@ -214,7 +214,7 @@ class TestCrossFree:
             edges = frozenset(VertexSet(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5)))
             h = Hypergraph(n, edges)
             expected = first_crossing_by_full_scan(h, r)
-            assert find_crossing_pair(h, r) == expected, (n, r, [str(e) for e in h.sorted_edges()])
+            assert find_crossing_pair(h, r) == expected, (n, r, [str(e) for e in h])
             outcomes.add(expected is None)
         # At r = 3 a crossing pair needs n >= 9, so every family here is cross-free.
         assert outcomes == ({True, False} if r < 3 else {True})
@@ -386,7 +386,7 @@ class TestOneCrossingScan:
         self, monkeypatch, tmp_path, capsys
     ):
         monkeypatch.setattr(
-            rsplits.ortho, "find_crossing_pair", lambda h, r: tuple(h.sorted_edges()[:2])
+            rsplits.ortho, "find_crossing_pair", lambda h, r: tuple(list(h)[:2])
         )
         # Both callers learn of the crossing from the size bounds themselves.
         raised = []
@@ -435,7 +435,7 @@ class TestBuildFamily:
     def test_distinct_edges_share_few_vertices(self):
         for r in (1, 2, 3):
             for k in (2, 3, 4, 5):
-                edges = build_family(FamilyParams(r, k)).sorted_edges()
+                edges = list(build_family(FamilyParams(r, k)))
                 for i, a in enumerate(edges):
                     for b in edges[i + 1:]:
                         assert len(a & b) < r
