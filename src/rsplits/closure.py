@@ -8,9 +8,9 @@ implicit trivial part.  The fixpoint runs on the bit masks of the middles.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
 
-from .bitset import VertexSet, _check_rank, mask_sort_key
+from .bitset import _check_rank, format_mask, mask_sort_key
 from .hypergraph import ClosedHypergraph, Hypergraph, middles_and_complements
 
 
@@ -53,20 +53,18 @@ def check_derived_rules(h: ClosedHypergraph) -> list[str]:
     all members.
     """
     n, r = h.n, h.r
-    order = sorted(h.masks, key=mask_sort_key)
 
     def missing(x: int) -> bool:
         size = x.bit_count()
         return r < size < n - r and x not in h.masks
 
     violations = []  # (rule, A, B, the missing set) as masks
-    for i, a in enumerate(order):
-        for b in islice(order, i + 1, None):
-            if n - (a | b).bit_count() >= r and missing(a & b):
-                violations.append(("P1", a, b, a & b))
-            if (a & ~b).bit_count() >= r and missing(b & ~a):
-                violations.append(("P2", a, b, b & ~a))
-            if (b & ~a).bit_count() >= r and missing(a & ~b):
-                violations.append(("P2", b, a, a & ~b))
-    return [f"{rule} violated by ({VertexSet(n, a)}, {VertexSet(n, b)}): {VertexSet(n, x)} missing"
+    for a, b in combinations(sorted(h.masks, key=mask_sort_key), 2):
+        if n - (a | b).bit_count() >= r and missing(a & b):
+            violations.append(("P1", a, b, a & b))
+        if (a & ~b).bit_count() >= r and missing(b & ~a):
+            violations.append(("P2", a, b, b & ~a))
+        if (b & ~a).bit_count() >= r and missing(a & ~b):
+            violations.append(("P2", b, a, a & ~b))
+    return [f"{rule} violated by ({format_mask(a)}, {format_mask(b)}): {format_mask(x)} missing"
             for rule, a, b, x in violations]

@@ -47,29 +47,11 @@ class Graph(Frozen):
         return cls(n, tuple(adj))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            while row:
-                low = row & -row
-                out.append((u + 1, low.bit_length()))
-                row ^= low
-        return out
+        return [(u + 1, v) for u, row in enumerate(self.adj)
+                for v in bitset.mask_members(row >> (u + 1) << (u + 1))]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= self.adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return len(_components(self.adj)) <= 1
 
 
 def cut_rank(g: Graph, x: VertexSet) -> int:
@@ -111,7 +93,7 @@ def low_rank_cuts(
     Cuts come in complement pairs with equal rank, so only the side holding
     vertex 1 is produced.  Depth-first search decides the other vertices
     into A (the side) or B (the rest) in the breadth-first order of
-    _search_order, so the decided vertices stay close together and the
+    _components, so the decided vertices stay close together and the
     partial cut's edges show up early, whatever the numbering.
     rank(M[A, B]) is at most the rank of every cut extending the partial
     one, since a submatrix never has larger rank, so a branch is pruned once
@@ -126,7 +108,7 @@ def low_rank_cuts(
     if n == 0 or bound < 0 or lo > hi or hi < 1 or lo > n:
         return
     adj = g.adj
-    bits = _search_order(adj)
+    bits = [bit for component in _components(adj) for bit in component]
     # (next index into bits, A, B, |A|, |B|, rank of M[A, B] or -1 when not computed)
     stack = [(1, 1, 0, 1, 0, -1)]
     while stack:
@@ -152,15 +134,16 @@ def low_rank_cuts(
                 stack.append((i + 1, child_a, b, na + 1, nb, child_rank))
 
 
-def _search_order(adj: tuple[int, ...]) -> list[int]:
-    """The vertex bits in breadth-first order from vertex 1.  Each frontier is
-    taken lowest label first, and each further component starts from its
-    lowest unvisited vertex."""
-    order = []
+def _components(adj: tuple[int, ...]) -> list[list[int]]:
+    """The components as lists of vertex bits, each in breadth-first order
+    from its lowest vertex, and ordered by that vertex.  Each frontier is
+    taken lowest label first."""
+    components = []
     unseen = (1 << len(adj)) - 1
     while unseen:
         frontier = unseen & -unseen
         unseen ^= frontier
+        order = []
         while frontier:
             nxt = 0
             while frontier:
@@ -170,7 +153,8 @@ def _search_order(adj: tuple[int, ...]) -> list[int]:
                 frontier ^= low
             frontier = nxt & unseen
             unseen ^= frontier
-    return order
+        components.append(order)
+    return components
 
 
 def is_r_rank_connected(g: Graph, r: int) -> bool:

@@ -205,13 +205,11 @@ def normalize(h: Hypergraph, r: int) -> ClosedHypergraph:
             f"{expected_trivial} sets with size <= {r} or >= {n - r} present"
         )
     closed = ClosedHypergraph._from_masks(n, r, middles)  # raises on a missing complement (K1)
-    order = sorted(middles, key=mask_sort_key)
-    for i, a in enumerate(order):
-        for b in itertools.islice(order, i + 1, None):
-            if (a & b).bit_count() >= r:
-                union = a | b
-                if union.bit_count() < n - r and union not in middles:
-                    raise NotClosedError(f"K2 violated by ({VertexSet(n, a)}, {VertexSet(n, b)})")
+    for a, b in itertools.combinations(sorted(middles, key=mask_sort_key), 2):
+        if (a & b).bit_count() >= r:
+            union = a | b
+            if union.bit_count() < n - r and union not in middles:
+                raise NotClosedError(f"K2 violated by ({format_mask(a)}, {format_mask(b)})")
     return closed
 
 

@@ -59,10 +59,9 @@ def find_crossing_pair(h: Hypergraph, r: int) -> Optional[tuple[VertexSet, Verte
     n = h.n
     sized = [(x, size) for x in sorted(h.masks, key=mask_sort_key)
              if r < (size := x.bit_count()) < n - r]
-    for i, (a, size_a) in enumerate(sized):
-        for b, size_b in itertools.islice(sized, i + 1, None):
-            if not _orthogonal_sizes(n, size_a, size_b, (a & b).bit_count(), r):
-                return (VertexSet(n, a), VertexSet(n, b))
+    for (a, size_a), (b, size_b) in itertools.combinations(sized, 2):
+        if not _orthogonal_sizes(n, size_a, size_b, (a & b).bit_count(), r):
+            return (VertexSet(n, a), VertexSet(n, b))
     return None
 
 
@@ -113,7 +112,11 @@ _UNPRINTABLE = 10**limits.MAX_PRINTED_DIGITS
 
 
 def crossfree_size_bounds(h: Hypergraph, r: int) -> CrossFreeBoundsReport:
-    """Check both size laws for a cross-free family with exact arithmetic."""
+    """Check both size laws for a cross-free family with exact arithmetic.
+    The cap counts the trivial part as at most 2(r+1)n^r sets, which needs
+    n >= 1: over n = 0 and r >= 1 the empty set alone exceeds it."""
+    if h.n < 1:
+        raise ValueError("the closure cap 2(r+1)n^r + 2|H| needs n >= 1")
     closed = cross_free_closure(h, r)
     middle_edges = sum(1 for x in h.masks if r < x.bit_count() < h.n - r)
     closure_middles = len(closed.masks)

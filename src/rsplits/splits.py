@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import closure, graph, hypergraph, limits
-from .bitset import VertexSet, _check_rank, _check_same_universe, mask_sort_key
+from .bitset import VertexSet, _check_rank, _check_same_universe, format_mask, mask_sort_key
 from .graph import Graph
 from .hypergraph import ClosedHypergraph, Hypergraph, NotClosedError
 
@@ -57,7 +57,7 @@ def phi(h: ClosedHypergraph, x: VertexSet) -> Optional[VertexSet]:
     if meet is None:
         return None
     if meet not in h.masks:
-        raise NotClosedError(f"input not r-closed: intersection {VertexSet(h.n, meet)} "
+        raise NotClosedError(f"input not r-closed: intersection {format_mask(meet)} "
                              f"of the members covering {x} is not a member")
     return VertexSet(h.n, meet)
 

@@ -39,6 +39,7 @@ from rsplits.verification import (
     check_lower_bound_desk,
     check_normalize_idempotent,
     check_submodularity,
+    check_trivial_closure_census,
     property_rng,
     random_closed_family,
     run_verification_suite,
@@ -579,6 +580,34 @@ def build_family_with_a_grown_edge(p) -> Hypergraph:
     return Hypergraph._from_masks(h.n, h.masks - {edge} | {edge | (edge + 1) & ~edge})
 
 
+TRUE_RANK_OF_ROWS = rsplits.bitset.rank_of_rows
+TRUE_IS_ORTHOGONAL = rsplits.ortho.is_orthogonal
+
+
+def rank_one_high_on_eight_rows(rows) -> int:
+    """rank_of_rows that counts one too many on exactly eight rows."""
+    return TRUE_RANK_OF_ROWS(rows) + (len(rows) == 8)
+
+
+def rank_one_high_on_lists(rows) -> int:
+    """rank_of_rows that counts one too many on a non-empty list."""
+    return TRUE_RANK_OF_ROWS(rows) + (isinstance(rows, list) and len(rows) > 0)
+
+
+def orthogonal_unless_both_hold_vertex_n(a: VertexSet, b: VertexSet, r: int) -> bool:
+    """is_orthogonal that is False on two distinct sets of more than r vertices
+    that both hold vertex n."""
+    both = (a.mask & b.mask) >> (a.n - 1) & 1
+    distinct_large = a.mask != b.mask and min(len(a), len(b)) > r
+    return TRUE_IS_ORTHOGONAL(a, b, r) and not (both and distinct_large)
+
+
+def zone_one_low_contains(self, a) -> bool:
+    """ClosedHypergraph.contains whose upper trivial zone starts at n - r - 1."""
+    size = len(a)
+    return size <= self.r or size >= self.n - self.r - 1 or a.mask in self.masks
+
+
 # sub-tag -> (check, owner, routine, its broken version, seed, the line the
 # check prints at its quick trial count): failure returns that FAILURE_RETURNS
 # leaves unreached, each driven by a fault of its own.
@@ -599,6 +628,43 @@ SUB_TAG_RETURNS = {
         "family-laws", rsplits.ortho, "crossfree_size_bounds",
         lambda h, r: TRUE_CROSSFREE_SIZE_BOUNDS(h, r)._replace(chain_holds=False),
         2024, "FAIL crossfree-size-chain r=1 k=2",
+    ),
+    "gf2-xor-append": (
+        "gf2-rank-laws", rsplits.bitset, "rank_of_rows", rank_one_high_on_eight_rows,
+        2024, "FAIL gf2-xor-append rows=(0, 2, 0, 2, 2, 3, 2) xor of [6, 4]",
+    ),
+    "gf2-row-permutation": (
+        "gf2-rank-laws", rsplits.bitset, "rank_of_rows", rank_one_high_on_lists,
+        2024, "FAIL gf2-row-permutation rows=(54, 60, 77, 49, 50)",
+    ),
+    "ortho-prop-small": (
+        "ortho-properties", rsplits.ortho, "is_orthogonal",
+        lambda a, b, r: a.mask != 0 and TRUE_IS_ORTHOGONAL(a, b, r),
+        2024, "FAIL ortho-prop-small n=1 r=0 A=- B=1",
+    ),
+    "ortho-prop-self": (
+        "ortho-properties", rsplits.ortho, "is_orthogonal",
+        lambda a, b, r: a.mask != b.mask and TRUE_IS_ORTHOGONAL(a, b, r),
+        2024, "FAIL ortho-prop-self n=1 r=0 A=1",
+    ),
+    "ortho-prop-complement": (
+        "ortho-properties", rsplits.ortho, "is_orthogonal",
+        lambda a, b, r: a.mask <= b.mask and TRUE_IS_ORTHOGONAL(a, b, r),
+        2024, "FAIL ortho-prop-complement n=1 r=0 A=1",
+    ),
+    "ortho-prop-symmetry": (
+        "ortho-properties", rsplits.ortho, "_orthogonal_sizes",
+        source_mutant(rsplits.ortho, "_orthogonal_sizes", " or b_minus_a == 0", ""),
+        2024, "FAIL ortho-prop-symmetry n=9 r=1 A=1,3,5,7 B=3,7",
+    ),
+    "ortho-prop-flip-both": (
+        "ortho-properties", rsplits.ortho, "is_orthogonal", orthogonal_unless_both_hold_vertex_n,
+        2024, "FAIL ortho-prop-flip-both n=9 r=1 A=2,4,6,8,9 B=1,2,4,5,6,8,9",
+    ),
+    "ortho-prop-monotone": (
+        "ortho-properties", rsplits.ortho, "is_orthogonal",
+        lambda a, b, r: r != 4 and TRUE_IS_ORTHOGONAL(a, b, r),
+        2024, "FAIL ortho-prop-monotone n=7 r=3 A=1,2,3,7 B=2,3,7",
     ),
 }
 
@@ -663,6 +729,15 @@ class TestVerificationSuite:
         monkeypatch.setattr(owner, name, broken)
         check, trials = {t: (c, quick) for t, c, quick, _ in REGISTRY}[tag]
         assert check(property_rng(seed, tag), trials).line() == line
+
+    def test_census_formula_catches_a_zone_shared_by_both_counts(self, monkeypatch):
+        # One fault cannot reach the formula detail: contains and
+        # trivial_closure_size must agree on a wrong trivial zone.
+        monkeypatch.setattr(ClosedHypergraph, "contains", zone_one_low_contains)
+        monkeypatch.setattr(rsplits.hypergraph, "trivial_closure_size", source_mutant(
+            rsplits.hypergraph, "trivial_closure_size", "i >= n - r", "i >= n - r - 1"))
+        result = check_trivial_closure_census(property_rng(2024, "trivial-closure-census"), 1)
+        assert result.line() == "FAIL trivial-closure-census n=2 r=0 formula"
 
     @pytest.mark.parametrize(
         "seed, failures",

@@ -500,6 +500,16 @@ class TestBounds:
         hg.write_text("6\n1,2,3\n3,4,5\n")
         assert main(["bounds", "-H", str(hg), "-r", "1"]) == 1
 
+    @pytest.mark.parametrize("text", ["0\n", "0\n-\n"], ids=["empty", "empty-set"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_empty_universe_is_refused(self, tmp_path, capsys, text, as_json):
+        # The cap 2(r+1)n^r + 2|H| undercounts the one trivial set over n = 0.
+        (tmp_path / "e0.txt").write_text(text)
+        argv = ["bounds", "-H", str(tmp_path / "e0.txt"), "-r", "1"]
+        assert main(argv + ["--json"] * as_json) == 2
+        assert capsys.readouterr() == (
+            "", "error: the closure cap 2(r+1)n^r + 2|H| needs n >= 1\n")
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_largest_printable_cap(self, tmp_path, capsys, as_json):
         # 2 * 7136 * 4^7135 + 2 has 4300 digits, the most an int prints by default.

@@ -9,6 +9,7 @@ from rsplits.bitset import VertexSet
 from rsplits.bruteforce import brute_cut_rank, brute_rank_connected
 from rsplits.graph import (
     Graph,
+    _components,
     cut_rank,
     format_graph,
     is_r_rank_connected,
@@ -95,6 +96,11 @@ class TestRankConnectivity:
             if g.is_connected():
                 assert is_r_rank_connected(g, 1)
 
+    def test_connected_exactly_when_one_rank_connected(self):
+        for g in all_graphs(5):
+            if g.n:
+                assert g.is_connected() == brute_rank_connected(g, 1), g
+
     def test_disconnected_graph_fails_r1(self):
         g = Graph.from_edges(4, [(1, 2), (3, 4)])
         assert not is_r_rank_connected(g, 1)
@@ -112,6 +118,19 @@ class TestRankConnectivity:
         g = Graph(30, tuple(0 for _ in range(30)))
         with pytest.raises(TooLargeError, match="too large for exhaustive check"):
             is_r_rank_connected(g, 1)
+
+
+class TestComponents:
+    def test_breadth_first_order_per_component(self):
+        # Components start at their lowest vertex; each frontier is taken
+        # lowest label first.  The split search decides vertices in this order.
+        g = Graph.from_edges(11, [(1, 6), (1, 4), (4, 9), (3, 6), (2, 8), (5, 8), (10, 11)])
+
+        def bits(*vertices):
+            return [1 << (v - 1) for v in vertices]
+
+        assert _components(g.adj) == [bits(1, 4, 6, 3, 9), bits(2, 8, 5), bits(7), bits(10, 11)]
+        assert not g.is_connected()
 
 
 class TestGraphConstruction:

@@ -342,6 +342,15 @@ class TestSizeBounds:
         assert (report.middle_edges, report.closure_middles) == (0, 0)
         assert report.passed
 
+    @pytest.mark.parametrize("edges", [[], [[]]], ids=["empty", "empty-set"])
+    @pytest.mark.parametrize("r", [0, 1, 10**12])
+    def test_empty_universe_is_refused(self, edges, r):
+        # Over n = 0 the trivial part is the empty set, one set, while
+        # 2(r+1)0^r is 0 for r >= 1; the refusal holds at every r.
+        with pytest.raises(ValueError) as exc:
+            crossfree_size_bounds(Hypergraph.of_vertex_lists(0, edges), r)
+        assert str(exc.value) == "the closure cap 2(r+1)n^r + 2|H| needs n >= 1"
+
     def test_print_limit_is_pythons_default(self):
         default = getattr(sys.int_info, "default_max_str_digits", limits.MAX_PRINTED_DIGITS)
         assert limits.MAX_PRINTED_DIGITS == default
@@ -359,9 +368,7 @@ class TestSizeBounds:
                     crossfree_size_bounds(h, r)
 
     def test_tiny_universes_compute_the_cap_at_any_r(self):
-        # n^r is n here, so the cap is 0 for n = 0 and 2(r+1) for n = 1.
-        for r in (10**12, 5 * 10**4299 - 2, 5 * 10**4299 - 1):
-            assert crossfree_size_bounds(Hypergraph(0, frozenset()), r).closure_cap == 0
+        # n^r is 1 for n = 1, so the cap is 2(r+1) there.
         one = Hypergraph(1, frozenset())
         assert crossfree_size_bounds(one, 5 * 10**4299 - 2).closure_cap == 10**4300 - 2
         with pytest.raises(TooLargeError, match="n=1"):
